@@ -33,6 +33,7 @@ from .prolate import (
     ZernikeCoeffs,
     choose_truncation,
     eval_phi,
+    eval_phi_and_deriv,
     eval_phi_deriv,
     eval_phi_second_deriv,
     mode_from_json,

@@ -90,8 +90,8 @@ def _cmd_eval(args) -> None:
 
 def _cmd_eigs(args) -> None:
     ch = ProlateChannel(args.p, args.c, args.N)
-    triples = beta_chain(ch, args.nmax, eps=args.eps)
     modes = solve_channel(ch, args.nmax, eps=args.eps)
+    triples = beta_chain(ch, args.nmax, eps=args.eps, modes=modes)
     rows = [
         (t.mode.n, modes[t.mode.n].chi, t.beta, t.lam.real, t.lam.imag, abs(t.lam), t.mu)
         for t in triples
@@ -307,8 +307,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _bind_coordinates(argv):
+    # argparse takes a value such as "-0.3,0.4" for an option name, so bind
+    # the token after --x to it: "--x -0.3,0.4" parses as "--x=-0.3,0.4"
+    out, tokens = [], iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok == "--x" else None
+        out.append(tok if value is None else f"--x={value}")
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = _build_parser().parse_args(_bind_coordinates(argv))
+    except SystemExit as exc:  # usage errors (2) and --help (0)
+        return exc.code
     try:
         args.func(args)
     except (ValidationError, ValueError) as exc:

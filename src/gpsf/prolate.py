@@ -34,6 +34,7 @@ __all__ = [
     "solve_channel",
     "eval_phi",
     "eval_phi_deriv",
+    "eval_phi_and_deriv",
     "eval_phi_second_deriv",
     "mode_to_json",
     "mode_from_json",
@@ -237,27 +238,35 @@ def solve_channel(
     return modes
 
 
-def _as_points(r) -> tuple[np.ndarray, bool]:
-    arr = np.atleast_1d(np.ascontiguousarray(r, dtype=float))
-    return arr, np.ndim(r) == 0
+def _as_points(r) -> np.ndarray:
+    return np.atleast_1d(np.ascontiguousarray(r, dtype=float))
+
+
+def eval_phi_and_deriv(mode: ZernikeCoeffs, r):
+    """(Phi_{N,n}, dPhi_{N,n}/dr) at radii in [0, 1].
+
+    At a scalar radius this is one fused pass over the recurrence on plain
+    floats, with no basis matrix; at an array of radii the basis and its
+    derivative are tabulated once.
+    """
+    ch = mode.channel
+    if np.ndim(r) == 0:
+        return kernels.phi_and_deriv(ch.alpha, ch.N, mode.coeffs.tolist(), r)
+    B, D = kernels.rbar_basis_with_deriv(ch.alpha, ch.N, len(mode.coeffs), _as_points(r))
+    return mode.coeffs @ B, mode.coeffs @ D
 
 
 def eval_phi(mode: ZernikeCoeffs, r):
     """Evaluate Phi_{N,n} at radii in [0, 1] from its Zernike expansion."""
-    pts, scalar = _as_points(r)
-    B = kernels.rbar_basis(mode.channel.alpha, mode.channel.N, len(mode.coeffs), pts)
-    out = mode.coeffs @ B
-    return float(out[0]) if scalar else out
+    if np.ndim(r) == 0:
+        return eval_phi_and_deriv(mode, r)[0]
+    B = kernels.rbar_basis(mode.channel.alpha, mode.channel.N, len(mode.coeffs), _as_points(r))
+    return mode.coeffs @ B
 
 
 def eval_phi_deriv(mode: ZernikeCoeffs, r):
     """Evaluate dPhi_{N,n}/dr, term-wise on the Zernike expansion."""
-    pts, scalar = _as_points(r)
-    _, D = kernels.rbar_basis_with_deriv(
-        mode.channel.alpha, mode.channel.N, len(mode.coeffs), pts
-    )
-    out = mode.coeffs @ D
-    return float(out[0]) if scalar else out
+    return eval_phi_and_deriv(mode, r)[1]
 
 
 def eval_phi_second_deriv(mode: ZernikeCoeffs, r):
@@ -268,19 +277,16 @@ def eval_phi_second_deriv(mode: ZernikeCoeffs, r):
     x^2(1-x^2) Phi'' = -((p+1)x - (p+3)x^3) Phi'
                        - (chi x^2 - (p+1)(p+3)x^2/4 - N(N+p) - c^2 x^4) Phi.
     """
-    pts, scalar = _as_points(r)
-    if np.any((pts <= 0.0) | (pts >= 1.0)):
+    x = float(r) if np.ndim(r) == 0 else _as_points(r)
+    if np.any((x <= 0.0) | (x >= 1.0)):
         raise ValueError("second derivative is evaluated on the open interval (0, 1)")
     p, c, N = mode.channel.p, mode.channel.c, mode.channel.N
-    x = pts
-    phi = eval_phi(mode, x)
-    dphi = eval_phi_deriv(mode, x)
+    phi, dphi = eval_phi_and_deriv(mode, x)
     x2 = x * x
     num = -(((p + 1.0) * x - (p + 3.0) * x2 * x) * dphi) - (
         mode.chi * x2 - 0.25 * (p + 1.0) * (p + 3.0) * x2 - N * (N + p) - c * c * x2 * x2
     ) * phi
-    out = num / (x2 * (1.0 - x2))
-    return float(out[0]) if scalar else out
+    return num / (x2 * (1.0 - x2))
 
 
 def mode_to_json(mode: ZernikeCoeffs) -> str:

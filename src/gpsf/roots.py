@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .prolate import NumericalError, ZernikeCoeffs, eval_phi, eval_phi_deriv, eval_phi_second_deriv
+from .prolate import NumericalError, ZernikeCoeffs, eval_phi, eval_phi_and_deriv, eval_phi_second_deriv
 
 __all__ = ["find_roots", "pruefer_beta", "pruefer_beta_deriv", "pruefer_alpha"]
 
@@ -86,8 +86,7 @@ def _newton(mode: ZernikeCoeffs, r0: float, lo: float, hi: float):
     r = r0
     prev_step = math.inf
     for it in range(1, _NEWTON_MAX + 1):
-        f = eval_phi(mode, r)
-        df = eval_phi_deriv(mode, r)
+        f, df = eval_phi_and_deriv(mode, r)
         if df == 0.0:
             break
         step = f / df
@@ -145,8 +144,7 @@ def _largest_root_taylor(mode: ZernikeCoeffs, x0: float):
     """Quadratic local-model steps from x0 (low-eigenvalue branch), then Newton."""
     r = min(max(x0, 1e-6), 1.0 - 1e-9)
     for _ in range(3):
-        f = eval_phi(mode, r)
-        df = eval_phi_deriv(mode, r)
+        f, df = eval_phi_and_deriv(mode, r)
         d2f = eval_phi_second_deriv(mode, min(max(r, 1e-9), 1.0 - 1e-12))
         disc = df * df - 2.0 * f * d2f
         if disc > 0.0 and d2f != 0.0:

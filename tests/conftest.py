@@ -1,19 +1,6 @@
-import numpy as np
 import pytest
 
 import gpsf
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # trigger one-time JIT compilation before any timed test runs
-    ch = gpsf.ProlateChannel(0, 2.0, 0)
-    modes = gpsf.solve_channel(ch, 1)
-    gpsf.eval_phi(modes[0], np.array([0.5]))
-    gpsf.eval_phi_deriv(modes[0], np.array([0.5]))
-    from gpsf import kernels
-
-    kernels.phase_sum(np.ones(4), np.linspace(0.0, 1.0, 4))
 
 
 class ChannelStore:

@@ -8,6 +8,7 @@ from gpsf.ballquad import surface_area, surface_harmonic
 from gpsf.prolate import ProlateChannel
 
 from golden import DISK_INTEGRAL_EXACT
+from oracles import gauss_legendre_01_mp
 
 
 class TestAngularRule:
@@ -64,6 +65,20 @@ class TestAngularRule:
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
             gpsf.angular_rule(2, 4)
+
+
+class TestPolarGaussLegendre:
+    @pytest.mark.parametrize("q", [25, 150, 300])
+    def test_weights_against_40_digit_rule(self, q):
+        # the polar factor of the p=1 rule against the 40-digit rule mapped to
+        # [-1, 1]; leggauss weights miss this bound (9.7e-16 at q=25, 5.2e-15 at q=300)
+        ref_nodes, ref_weights = gauss_legendre_01_mp(q)
+        rule = gpsf.angular_rule_from_count(1, 2 * q - 1)
+        assert len(rule.polar_weights) == q
+        w_ref = np.array([float(2 * w) for w in ref_weights])
+        u_ref = np.array([float(2 * x - 1) for x in ref_nodes])
+        assert np.max(np.abs(rule.polar_weights - w_ref)) <= 4e-16
+        assert np.max(np.abs(rule.polar_nodes - u_ref)) <= 2.3e-16
 
 
 class TestTensorRule:

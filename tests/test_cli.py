@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +59,25 @@ class TestEigs:
             assert abs(got - ref) <= 1e-12 * ref + 0.6e-16
 
 
+class TestEigsSolvesOnce:
+    def test_one_solve_per_channel(self, capsys, monkeypatch):
+        from gpsf import spectrum
+
+        calls = []
+        real = cli.solve_channel
+
+        def counting(*a, **k):
+            calls.append(a)
+            return real(*a, **k)
+
+        # beta_chain solves through the name spectrum holds
+        monkeypatch.setattr(cli, "solve_channel", counting)
+        monkeypatch.setattr(spectrum, "solve_channel", counting)
+        code, _, _ = run_cli(["eigs", "--p", "0", "--c", "20", "--N", "1", "--nmax", "5"], capsys)
+        assert code == 0
+        assert len(calls) == 1
+
+
 class TestEigsJsonSchema:
     def test_required_fields_present(self, capsys):
         code, out, _ = run_cli(
@@ -87,6 +108,15 @@ class TestDeterminism:
         assert out1 == out2
         assert out1.startswith("node,weight\n")
         assert len(out1.strip().split("\n")) == 11
+
+    def test_fresh_processes_byte_identical(self):
+        # p=1 goes through the phase sum and the polar rule, gauss through
+        # the fused root polish
+        args = [sys.executable, "-m", "gpsf.cli", "ball-integrate", "--p", "1", "--c", "12",
+                "--x", "-0.4,0.3,0.2", "--radial", "gauss:10", "--angular", "36"]
+        first, second = (subprocess.run(args, capture_output=True, text=True) for _ in range(2))
+        assert first.returncode == 0 and second.returncode == 0, first.stderr
+        assert first.stdout == second.stdout
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "rule.csv"
@@ -181,6 +211,24 @@ class TestExitCodes:
         )
         assert code == 3
         assert "numerical failure" in err
+
+    def test_argument_error_returns_two(self, capsys):
+        # argparse usage errors come back as the return value, not SystemExit
+        code, _, err = run_cli(["ball-integrate", "--p", "0", "--c", "20"], capsys)
+        assert code == 2
+        assert "required" in err
+
+    @pytest.mark.parametrize("args", [
+        ["ball-integrate", "--p", "0", "--c", "20", "--radial", "cheb:17", "--angular", "54"],
+        ["interp", "--p", "0", "--c", "10", "--Nmax", "1", "--nmax", "1",
+         "--radial-count", "12", "--angular-count", "40"],
+    ])
+    def test_coordinates_with_leading_minus(self, capsys, args):
+        code, spaced, err = run_cli(args + ["--x", "-0.3,0.4"], capsys)
+        assert code == 0, err
+        code, bound, _ = run_cli(args + ["--x=-0.3,0.4"], capsys)
+        assert code == 0
+        assert spaced == bound
 
     def test_wrong_point_dimension(self, capsys):
         code, _, _ = run_cli(
