@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ballquad import BallRule, angular_rule_from_count, surface_harmonic, tensor_rule, truncation_bound
-from .prolate import ProlateChannel, ZernikeCoeffs, solve_channel, eval_phi
+from .prolate import ProlateChannel, ZernikeCoeffs, eval_phi, solve_channel, tabulate
 from .quadrature import gaussian_rule
-from .spectrum import EigenTriple, beta_chain
+from .spectrum import EigenTriple, beta_chain, harmonic_count
 
 __all__ = [
     "GpsfExpansion",
@@ -100,11 +100,40 @@ def sampling_rule(
     return tensor_rule(radial, angular_rule_from_count(p, angular_count))
 
 
-def _fft_circle_projections(rule: BallRule, samples: np.ndarray) -> np.ndarray:
-    """Angular transform on the disk: bins G[i, N] = integral f e^(-i N th)."""
-    m = rule.angular.count
-    F = samples.reshape(len(rule.radial.nodes), m)
-    return np.fft.fft(F, axis=1) * (2.0 * math.pi / m)
+def _check_modes(p: int, modes) -> None:
+    if not modes:
+        raise ValueError("no modes requested")
+    for key in modes:
+        N, ell, n = key
+        h = harmonic_count(p, N) if N >= 0 else 0
+        if h == 0:
+            raise ValueError(f"mode {key}: there are no surface harmonics of order N={N} for p={p}")
+        if not 1 <= ell <= h:
+            raise ValueError(f"mode {key}: ell must lie in 1..{h} for p={p}, N={N}")
+        if n < 0:
+            raise ValueError(f"mode {key}: n must be nonnegative")
+
+
+def _check_cache(cache: ChannelCache, p: int, c: float, nmax: int) -> None:
+    if cache.p != p or cache.c != c:
+        raise ValueError(f"channel cache is for p={cache.p}, c={cache.c}, not p={p}, c={c}")
+    if nmax > cache.nmax:
+        raise ValueError(f"mode n={nmax} exceeds the channel cache's nmax={cache.nmax}")
+
+
+def _angular_projection(rule: BallRule, F: np.ndarray, G, N: int, ell: int) -> np.ndarray:
+    """Integral over the sphere of f(r_j .) S_N^ell at every radial node r_j.
+
+    ``G`` holds the disk's FFT bins G[j, k] = integral f e^(-i k th), or is
+    None for the generic sum over the angular nodes of ``F``.
+    """
+    if G is None:
+        S = surface_harmonic(rule.angular.p, N, ell, rule.angular.points)
+        return F @ (rule.angular.weights * S)
+    if N == 0:
+        return G[:, 0] / math.sqrt(2.0 * math.pi)
+    pos, neg = G[:, N], G[:, -N % G.shape[1]]
+    return (0.5 * (pos + neg) if ell == 1 else 0.5j * (pos - neg)) / math.sqrt(math.pi)
 
 
 def recover_coeffs(
@@ -116,6 +145,9 @@ def recover_coeffs(
     use_fft: bool = True,
 ) -> GpsfExpansion:
     """Project sampled values of a band-limited function onto the basis.
+
+    Each channel N is tabulated once at the radial nodes, for all its
+    cached modes, and each angular projection is formed once per (N, ell).
 
     Parameters
     ----------
@@ -136,7 +168,9 @@ def recover_coeffs(
     Raises
     ------
     ValueError
-        If the rule band limit differs from 2c.
+        If the rule band limit differs from 2c, no modes are requested, a
+        mode does not exist, or the cache was built for another p, c or a
+        smaller nmax.
     """
     p = rule.radial.channel.p
     if not math.isclose(rule.bandlimit, 2.0 * c, rel_tol=1e-12):
@@ -146,6 +180,7 @@ def recover_coeffs(
     samples = np.asarray(samples, dtype=complex)
     if samples.shape != (rule.count,):
         raise ValueError(f"expected {rule.count} samples, got {samples.shape}")
+    _check_modes(p, modes)
     top_order = max(N for N, _, _ in modes)
     if p == 0 and 2 * top_order >= rule.angular.count:
         raise ValueError(
@@ -155,35 +190,25 @@ def recover_coeffs(
     nmax = max(n for _, _, n in modes)
     if cache is None:
         cache = ChannelCache(p, c, nmax)
+    _check_cache(cache, p, c, nmax)
+    wanted: dict[int, list[tuple[int, int]]] = {}
+    for N, ell, n in modes:
+        wanted.setdefault(N, []).append((ell, n))
     terms: dict[tuple[int, int, int], complex] = {}
     unreliable = set()
-    rnodes = rule.radial.nodes
     rweights = rule.radial.weights
-    G = _fft_circle_projections(rule, samples) if (p == 0 and use_fft) else None
-    for N in sorted({N for N, _, _ in modes}):
-        chmodes = cache.modes(N)
+    F = samples.reshape(len(rule.radial.nodes), rule.angular.count)
+    G = np.fft.fft(F, axis=1) * (2.0 * math.pi / rule.angular.count) if (p == 0 and use_fft) else None
+    for N in sorted(wanted):
         triples = cache.triples(N)
-        wanted = [(ell, n) for (NN, ell, n) in modes if NN == N]
-        for ell, n in wanted:
-            phi_r = eval_phi(chmodes[n], rnodes)
-            if G is not None:
-                if N == 0:
-                    ang = G[:, 0] / math.sqrt(2.0 * math.pi)
-                else:
-                    gc = 0.5 * (G[:, N] + G[:, -N % G.shape[1]])
-                    gs = 0.5j * (G[:, N] - G[:, -N % G.shape[1]])
-                    ang = (gc if ell == 1 else gs) / math.sqrt(math.pi)
-                a = complex(np.sum(rweights * phi_r * ang))
-            else:
-                S = surface_harmonic(p, N, ell, rule.angular.points)
-                F = samples.reshape(len(rnodes), rule.angular.count)
-                ang = F @ (rule.angular.weights * S)
-                a = complex(np.sum(rweights * phi_r * ang))
+        phi = tabulate(cache.modes(N), rule.radial.nodes)
+        ang: dict[int, np.ndarray] = {}
+        for ell, n in wanted[N]:
+            if ell not in ang:
+                ang[ell] = _angular_projection(rule, F, G, N, ell)
             key = (N, ell, n)
-            terms[key] = a
-            if n < len(triples) and abs(triples[n].lam) < _RELIABLE_FLOOR:
-                unreliable.add(key)
-            elif n >= len(triples):
+            terms[key] = complex(np.sum(rweights * phi[n] * ang[ell]))
+            if n >= len(triples) or abs(triples[n].lam) < _RELIABLE_FLOOR:
                 unreliable.add(key)
     return GpsfExpansion(p, c, terms, frozenset(unreliable))
 
@@ -193,26 +218,37 @@ def synthesize(
     x,
     cache: ChannelCache | None = None,
 ) -> complex:
-    """Evaluate the expansion at a point of the closed unit ball."""
+    """Evaluate the expansion at a point of the closed unit ball.
+
+    Phi_{N,n}(|x|) is evaluated once per (N, n) and S_N^ell(x/|x|) once
+    per (N, ell); the terms are summed in sorted order.
+    """
     x = np.asarray(x, dtype=float)
     r = float(np.linalg.norm(x))
     if r > 1.0 + 1e-12:
         raise ValueError("evaluation point must lie in the closed unit ball")
+    if not expansion.terms:
+        raise ValueError("expansion has no terms")
+    nmax = max(n for _, _, n in expansion.terms)
     if cache is None:
-        nmax = max(n for _, _, n in expansion.terms)
         cache = ChannelCache(expansion.p, expansion.c, nmax)
+    _check_cache(cache, expansion.p, expansion.c, nmax)
     if r == 0.0:
         xhat = np.zeros(expansion.p + 2)
         xhat[0] = 1.0
     else:
         xhat = x / r
+    phi: dict[tuple[int, int], float] = {}
+    harm: dict[tuple[int, int], float] = {}
     total = 0.0 + 0.0j
     for (N, ell, n), coeff in sorted(expansion.terms.items()):
         if coeff == 0.0:
             continue
-        phi = eval_phi(cache.modes(N)[n], r)
-        S = float(surface_harmonic(expansion.p, N, ell, xhat[None, :])[0])
-        total += coeff * phi * S
+        if (N, n) not in phi:
+            phi[N, n] = eval_phi(cache.modes(N)[n], r)
+        if (N, ell) not in harm:
+            harm[N, ell] = float(surface_harmonic(expansion.p, N, ell, xhat[None, :])[0])
+        total += coeff * phi[N, n] * harm[N, ell]
     return total
 
 

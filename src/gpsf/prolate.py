@@ -32,6 +32,7 @@ __all__ = [
     "tridiag_matrix",
     "choose_truncation",
     "solve_channel",
+    "tabulate",
     "eval_phi",
     "eval_phi_deriv",
     "eval_phi_and_deriv",
@@ -242,6 +243,26 @@ def _as_points(r) -> np.ndarray:
     return np.atleast_1d(np.ascontiguousarray(r, dtype=float))
 
 
+def tabulate(modes, r, deriv=False):
+    """Phi of modes of one channel at radii in [0, 1], from one basis build.
+
+    ``modes`` is one ZernikeCoeffs or a sequence of modes of one channel;
+    the table is A @ B, with A the coefficient vector or the stacked vectors
+    (one row per mode) and B the radial basis at ``r``.  With ``deriv`` it
+    is the pair (A @ B, A @ dB/dr).
+    """
+    single = isinstance(modes, ZernikeCoeffs)
+    ch = modes.channel if single else modes[0].channel
+    if not single and any(m.channel != ch for m in modes):
+        raise ValueError("tabulated modes must share one channel")
+    A = modes.coeffs if single else np.vstack([m.coeffs for m in modes])
+    r = _as_points(r)
+    if deriv:
+        B, D = kernels.rbar_basis_with_deriv(ch.alpha, ch.N, A.shape[-1], r)
+        return A @ B, A @ D
+    return A @ kernels.rbar_basis(ch.alpha, ch.N, A.shape[-1], r)
+
+
 def eval_phi_and_deriv(mode: ZernikeCoeffs, r):
     """(Phi_{N,n}, dPhi_{N,n}/dr) at radii in [0, 1].
 
@@ -252,16 +273,14 @@ def eval_phi_and_deriv(mode: ZernikeCoeffs, r):
     ch = mode.channel
     if np.ndim(r) == 0:
         return kernels.phi_and_deriv(ch.alpha, ch.N, mode.coeffs.tolist(), r)
-    B, D = kernels.rbar_basis_with_deriv(ch.alpha, ch.N, len(mode.coeffs), _as_points(r))
-    return mode.coeffs @ B, mode.coeffs @ D
+    return tabulate(mode, r, deriv=True)
 
 
 def eval_phi(mode: ZernikeCoeffs, r):
     """Evaluate Phi_{N,n} at radii in [0, 1] from its Zernike expansion."""
     if np.ndim(r) == 0:
         return eval_phi_and_deriv(mode, r)[0]
-    B = kernels.rbar_basis(mode.channel.alpha, mode.channel.N, len(mode.coeffs), _as_points(r))
-    return mode.coeffs @ B
+    return tabulate(mode, r)
 
 
 def eval_phi_deriv(mode: ZernikeCoeffs, r):

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lstsq
 
-from . import kernels
-from .prolate import NumericalError, ProlateChannel, ZernikeCoeffs, solve_channel
+from .prolate import NumericalError, ProlateChannel, ZernikeCoeffs, solve_channel, tabulate
 from .roots import find_roots
 
 __all__ = ["QuadratureRule1D", "chebyshev_rule", "gaussian_rule", "rule_to_csv", "rule_to_json"]
@@ -55,22 +54,6 @@ def _mode_moments(modes: list[ZernikeCoeffs], p: int) -> np.ndarray:
     return np.array([m.coeffs[0] for m in modes]) / math.sqrt(p + 2.0)
 
 
-def _collocation(modes: list[ZernikeCoeffs], r: np.ndarray) -> np.ndarray:
-    ch = modes[0].channel
-    K = len(modes[0].coeffs)
-    A = np.vstack([m.coeffs for m in modes])
-    B = kernels.rbar_basis(ch.alpha, ch.N, K, np.ascontiguousarray(r, dtype=float))
-    return A @ B
-
-
-def _collocation_with_deriv(modes: list[ZernikeCoeffs], r: np.ndarray):
-    ch = modes[0].channel
-    K = len(modes[0].coeffs)
-    A = np.vstack([m.coeffs for m in modes])
-    B, D = kernels.rbar_basis_with_deriv(ch.alpha, ch.N, K, np.ascontiguousarray(r, dtype=float))
-    return A @ B, A @ D
-
-
 def chebyshev_rule(channel: ProlateChannel, n: int) -> QuadratureRule1D:
     """Interpolatory rule at the n roots of Phi_{0,n}, exact for n modes.
 
@@ -86,7 +69,7 @@ def chebyshev_rule(channel: ProlateChannel, n: int) -> QuadratureRule1D:
         raise ValueError("radial rules are built on the N=0 channel")
     modes = solve_channel(channel, n)
     nodes = find_roots(modes[n])
-    M = _collocation(modes[:n], nodes)
+    M = tabulate(modes[:n], nodes)
     rhs = _mode_moments(modes[:n], channel.p)
     w, _, _, _ = lstsq(M, rhs, lapack_driver="gelsy")
     resid = float(np.max(np.abs(M @ w - rhs)))
@@ -129,15 +112,17 @@ def gaussian_rule(channel: ProlateChannel, n: int) -> QuadratureRule1D:
     mom = _mode_moments(modes, channel.p)
     scale = max(float(np.max(np.abs(mom))), 1e-12)
 
-    def discrepancy(rv, wv):
-        return mom - _collocation(modes, rv) @ wv
-
-    d = discrepancy(r, w)
+    # The full Newton step is tabulated with the derivative and, when it is
+    # accepted (nearly every sweep), carries its (P, D) into the next sweep.
+    # Halved steps, which mostly fail at the round-off floor, need only P.
+    P, D = tabulate(modes, r, deriv=True)
+    d = mom - P @ w
     for _ in range(_NEWTON_SWEEPS):
         dnorm = float(np.linalg.norm(d))
         if float(np.max(np.abs(d))) <= 20.0 * np.finfo(float).eps * scale:
             break
-        P, D = _collocation_with_deriv(modes, r)
+        if D is None:
+            P, D = tabulate(modes, r, deriv=True)
         J = np.hstack([D * w[None, :], P])
         try:
             x = np.linalg.solve(J, d)
@@ -147,9 +132,10 @@ def gaussian_rule(channel: ProlateChannel, n: int) -> QuadratureRule1D:
         for _ in range(_HALVINGS_MAX):
             rn = r + step * x[:n]
             wn = w + step * x[n:]
-            dn = discrepancy(rn, wn)
+            Pn, Dn = tabulate(modes, rn, deriv=True) if step == 1.0 else (tabulate(modes, rn), None)
+            dn = mom - Pn @ wn
             if float(np.linalg.norm(dn)) < dnorm:
-                r, w, d = rn, wn, dn
+                r, w, d, P, D = rn, wn, dn, Pn, Dn
                 break
             step /= 2.0
         else:

@@ -93,11 +93,11 @@ class TestEigsJsonSchema:
 
 
 class TestFigureData:
-    def test_threads_do_not_change_output(self, capsys):
+    def test_threads_flag_rejected(self, capsys):
         args = ["figure-data", "--p", "1", "--c", "50", "--N", "0,10", "--nmax", "8"]
-        _, out1, _ = run_cli(args + ["--threads", "1"], capsys)
-        _, out2, _ = run_cli(args + ["--threads", "2"], capsys)
-        assert out1 == out2
+        code, out, err = run_cli(args + ["--threads", "2"], capsys)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --threads 2" in err
 
 
 class TestDeterminism:
@@ -153,6 +153,39 @@ class TestInterpCommand:
         _, direct, _ = run_cli(args, capsys)
         _, from_file, _ = run_cli(args + ["--samples", str(path)], capsys)
         assert direct == from_file
+
+    def _sample_file(self, tmp_path, columns):
+        path = tmp_path / "samples.csv"
+        np.savetxt(path, np.column_stack(columns), delimiter=",", header="h", comments="")
+        return str(path)
+
+    def test_sample_file_node_column_checked(self, capsys, tmp_path):
+        import gpsf
+
+        rule = gpsf.sampling_rule(0, 10.0, radial_count=12, angular_count=40)
+        nodes = rule.nodes().copy()
+        nodes[5, 1] += 1e-9
+        path = self._sample_file(tmp_path, [nodes, np.ones(rule.count), np.zeros(rule.count)])
+        code, out, err = run_cli(
+            ["interp", "--p", "0", "--c", "10", "--x", "0.3,0.4", "--Nmax", "1", "--nmax", "1",
+             "--radial-count", "12", "--angular-count", "40", "--samples", path],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "node columns differ from the rule nodes by 1e-09" in err
+        assert err.count("\n") == 1
+
+    def test_sample_file_column_count_checked(self, capsys, tmp_path):
+        # p=1 needs 3 node columns; a disk-shaped file has 2
+        path = self._sample_file(tmp_path, [np.zeros((4, 2)), np.ones(4), np.zeros(4)])
+        code, out, err = run_cli(
+            ["interp", "--p", "1", "--c", "2", "--x", "0.1,0.2,0.3", "--Nmax", "1", "--nmax", "1",
+             "--samples", path],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "sample file has 4 columns, expected 5" in err
+        assert err.count("\n") == 1
 
 
 class TestSpectrumCheck:
@@ -229,6 +262,16 @@ class TestExitCodes:
         code, bound, _ = run_cli(args + ["--x=-0.3,0.4"], capsys)
         assert code == 0
         assert spaced == bound
+
+    @pytest.mark.parametrize("args", [
+        ["interp", "--p", "2", "--c", "10", "--x", "0.1,0.2,0.3,0.4", "--Nmax", "1", "--nmax", "1"],
+        ["ball-integrate", "--p", "2", "--c", "20", "--x", "0.1,0.2,0.3,0.4",
+         "--radial", "cheb:8", "--angular", "20"],
+    ])
+    def test_dimension_outside_parser_choices(self, capsys, args):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert "argument --p: invalid choice: 2" in err
 
     def test_wrong_point_dimension(self, capsys):
         code, _, _ = run_cli(

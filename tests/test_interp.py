@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gpsf
+from gpsf import interp, kernels
 from gpsf.ballquad import surface_harmonic
 from gpsf.interp import ChannelCache, expansion_to_json
 from gpsf.prolate import ProlateChannel
@@ -153,6 +154,167 @@ class TestSynthesize:
         exp = gpsf.GpsfExpansion(0, 10.0, {(0, 1, 0): 1.0 + 0.0j})
         with pytest.raises(ValueError):
             gpsf.synthesize(exp, [1.2, 0.0])
+
+
+# (p, c, radial count, angular count, Nmax, nmax, use_fft): the FFT path on
+# the disk and the per-node path in every dimension
+TABULATION_CASES = [
+    (-1, 8.0, 12, 2, 1, 6, False),
+    (0, 10.0, 14, 40, 5, 6, True),
+    (0, 10.0, 14, 40, 5, 6, False),
+    (1, 3.0, 10, 16, 4, 3, False),
+]
+
+
+def _grid(p, Nmax, nmax):
+    return [(N, ell, n) for N in range(Nmax + 1) for ell in range(1, gpsf.harmonic_count(p, N) + 1)
+            for n in range(nmax + 1)]
+
+
+def _per_term_reference(rule, samples, cache, modes, use_fft):
+    """The per-term loop: one eval_phi at the radial nodes and one angular sum per term."""
+    p = rule.radial.channel.p
+    m = rule.angular.count
+    F = samples.reshape(len(rule.radial.nodes), m)
+    G = np.fft.fft(F, axis=1) * (2.0 * math.pi / m)
+    ref = {}
+    for N, ell, n in modes:
+        phi = gpsf.eval_phi(cache.modes(N)[n], rule.radial.nodes)
+        if p == 0 and use_fft:
+            if N == 0:
+                ang = G[:, 0] / math.sqrt(2.0 * math.pi)
+            elif ell == 1:
+                ang = 0.5 * (G[:, N] + G[:, -N % m]) / math.sqrt(math.pi)
+            else:
+                ang = 0.5j * (G[:, N] - G[:, -N % m]) / math.sqrt(math.pi)
+        else:
+            ang = F @ (rule.angular.weights * surface_harmonic(p, N, ell, rule.angular.points))
+        ref[(N, ell, n)] = complex(np.sum(rule.radial.weights * phi * ang))
+    return ref
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*a, **k):
+        calls.append(a)
+        return real(*a, **k)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def tabulation_runs():
+    """Rule, samples, warm cache and mode grid for each TABULATION_CASES entry."""
+    runs = []
+    for p, c, radial, angular, Nmax, nmax, use_fft in TABULATION_CASES:
+        rule = _rule(p, c, radial, angular)
+        cache = ChannelCache(p, c, nmax)
+        modes = _grid(p, Nmax, nmax)
+        for N in {N for N, _, _ in modes}:
+            cache.triples(N)
+        x = 0.6 * np.ones(p + 2) / math.sqrt(p + 2)
+        runs.append((rule, _exp_samples(rule, x, c), c, cache, modes, use_fft))
+    return runs
+
+
+class TestChannelTabulation:
+    @pytest.mark.parametrize("case", range(len(TABULATION_CASES)))
+    def test_one_basis_build_per_channel(self, tabulation_runs, monkeypatch, case):
+        rule, samples, c, cache, modes, use_fft = tabulation_runs[case]
+        calls = _counting(monkeypatch, kernels, "rbar_basis")
+        interp.recover_coeffs(rule, samples, c, modes, cache=cache, use_fft=use_fft)
+        assert sorted(a[1] for a in calls) == sorted({N for N, _, _ in modes})
+
+    @pytest.mark.parametrize("case", range(len(TABULATION_CASES)))
+    def test_coefficients_match_per_term_loop(self, tabulation_runs, case):
+        rule, samples, c, cache, modes, use_fft = tabulation_runs[case]
+        got = interp.recover_coeffs(rule, samples, c, modes, cache=cache, use_fft=use_fft).terms
+        ref = _per_term_reference(rule, samples, cache, modes, use_fft)
+        assert list(got) == list(ref)
+        scale = max(abs(v) for v in ref.values())
+        assert max(abs(got[k] - ref[k]) for k in ref) <= 4e-15 * scale
+
+    @pytest.mark.parametrize("case", range(len(TABULATION_CASES)))
+    def test_synthesis_matches_per_term_sum(self, tabulation_runs, case):
+        rule, samples, c, cache, modes, use_fft = tabulation_runs[case]
+        exp = interp.recover_coeffs(rule, samples, c, modes, cache=cache, use_fft=use_fft)
+        p = exp.p
+        rng = np.random.default_rng(case)
+        for y in [np.zeros(p + 2)] + [rng.uniform(-0.5, 0.5, size=p + 2) for _ in range(3)]:
+            r = float(np.linalg.norm(y))
+            yhat = y / r if r > 0.0 else np.eye(p + 2)[0]
+            ref = 0.0 + 0.0j
+            for (N, ell, n), a in sorted(exp.terms.items()):
+                s = float(surface_harmonic(p, N, ell, yhat[None, :])[0])
+                ref += a * gpsf.eval_phi(cache.modes(N)[n], r) * s
+            got = interp.synthesize(exp, y, cache=cache)
+            assert abs(got - ref) <= 4e-15 * sum(abs(a) for a in exp.terms.values())
+
+    @pytest.mark.parametrize("case", [i for i, t in enumerate(TABULATION_CASES) if t[0] == 1])
+    def test_one_harmonic_per_order_and_index(self, tabulation_runs, monkeypatch, case):
+        rule, samples, c, cache, modes, use_fft = tabulation_runs[case]
+        calls = _counting(monkeypatch, interp, "surface_harmonic")
+        interp.recover_coeffs(rule, samples, c, modes, cache=cache, use_fft=use_fft)
+        assert sorted((a[1], a[2]) for a in calls) == sorted({(N, ell) for N, ell, _ in modes})
+
+
+class TestRequestValidation:
+    """Malformed requests raise a one-line ValueError before any radial work."""
+
+    @pytest.fixture
+    def no_compute(self, monkeypatch):
+        def refuse(*a, **k):
+            raise AssertionError("compute started before validation")
+
+        monkeypatch.setattr(interp, "solve_channel", refuse)
+        monkeypatch.setattr(interp, "tabulate", refuse, raising=False)
+        monkeypatch.setattr(interp, "eval_phi", refuse)
+
+    @pytest.fixture(scope="class")
+    def disk_rule(self):
+        return _rule(0, 4.0, 10, 30)
+
+    def _rejects(self, call, match):
+        with pytest.raises(ValueError, match=match) as info:
+            call()
+        assert "\n" not in str(info.value)
+
+    def test_empty_mode_list(self, disk_rule, no_compute):
+        self._rejects(lambda: gpsf.recover_coeffs(disk_rule, np.zeros(disk_rule.count), 4.0, []),
+                      "no modes")
+
+    def test_harmonic_index_out_of_range(self, disk_rule, no_compute):
+        # N=0 on the disk has the one harmonic ell=1
+        self._rejects(lambda: gpsf.recover_coeffs(disk_rule, np.zeros(disk_rule.count), 4.0,
+                                                  [(0, 2, 0)]), "ell must lie in 1..1")
+
+    def test_cache_band_limit_differs(self, disk_rule, no_compute):
+        self._rejects(lambda: gpsf.recover_coeffs(disk_rule, np.zeros(disk_rule.count), 4.0,
+                                                  [(0, 1, 0)], cache=ChannelCache(0, 5.0, 7)),
+                      "channel cache is for p=0, c=5.0")
+
+    def test_cache_dimension_differs(self, disk_rule, no_compute):
+        self._rejects(lambda: gpsf.recover_coeffs(disk_rule, np.zeros(disk_rule.count), 4.0,
+                                                  [(0, 1, 0)], cache=ChannelCache(1, 4.0, 7)),
+                      "channel cache is for p=1")
+
+    def test_mode_above_cache_nmax(self, disk_rule, no_compute):
+        self._rejects(lambda: gpsf.recover_coeffs(disk_rule, np.zeros(disk_rule.count), 4.0,
+                                                  [(0, 1, 8)], cache=ChannelCache(0, 4.0, 7)),
+                      "exceeds the channel cache's nmax=7")
+
+    def test_synthesize_empty_expansion(self, no_compute):
+        self._rejects(lambda: gpsf.synthesize(gpsf.GpsfExpansion(0, 4.0, {}), [0.1, 0.2]),
+                      "no terms")
+
+    @pytest.mark.parametrize("cache", [ChannelCache(0, 5.0, 3), ChannelCache(1, 4.0, 3),
+                                       ChannelCache(0, 4.0, 1)])
+    def test_synthesize_cache_mismatch(self, cache, no_compute):
+        exp = gpsf.GpsfExpansion(0, 4.0, {(1, 2, 2): 1.0 + 0.0j})
+        self._rejects(lambda: gpsf.synthesize(exp, [0.1, 0.2], cache=cache), "channel cache")
 
 
 class TestCoeffBound:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gpsf
+from gpsf import kernels, quadrature
 from gpsf.prolate import ProlateChannel
 from gpsf.quadrature import rule_to_csv, rule_to_json
 
@@ -77,6 +78,70 @@ class TestGaussianRule:
         rule = gpsf.gaussian_rule(ProlateChannel(0, 20.0, 0), 10)
         assert np.all((rule.nodes > 0.0) & (rule.nodes < 1.0))
         assert np.all(rule.weights > 0.0)
+
+
+def _rebuilding_gaussian_rule(channel, n):
+    """Newton loop that evaluates every trial point with a plain basis and
+    rebuilds (P, D) at the accepted point on the next sweep."""
+
+    def table(modes, r, deriv=False):
+        A = np.vstack([m.coeffs for m in modes])
+        ch = modes[0].channel
+        if deriv:
+            B, D = kernels.rbar_basis_with_deriv(ch.alpha, ch.N, A.shape[1], r)
+            return A @ B, A @ D
+        return A @ kernels.rbar_basis(ch.alpha, ch.N, A.shape[1], r)
+
+    start = gpsf.chebyshev_rule(ProlateChannel(channel.p, channel.c / 2.0, 0), n)
+    r, w = start.nodes.copy(), start.weights.copy()
+    modes = gpsf.solve_channel(channel, 2 * n - 1)
+    mom = _moments(channel, modes)
+    scale = max(float(np.max(np.abs(mom))), 1e-12)
+    d = mom - table(modes, r) @ w
+    for _ in range(60):
+        dnorm = float(np.linalg.norm(d))
+        if float(np.max(np.abs(d))) <= 20.0 * np.finfo(float).eps * scale:
+            break
+        P, D = table(modes, r, deriv=True)
+        x = np.linalg.solve(np.hstack([D * w[None, :], P]), d)
+        step = 1.0
+        for _ in range(40):
+            rn, wn = r + step * x[:n], w + step * x[n:]
+            dn = mom - table(modes, rn) @ wn
+            if float(np.linalg.norm(dn)) < dnorm:
+                r, w, d = rn, wn, dn
+                break
+            step /= 2.0
+        else:
+            break
+    order = np.argsort(r)
+    return r[order], w[order]
+
+
+class TestGaussianNewtonTables:
+    # (0, 150, 34) accepts halved steps at the round-off floor and (1, 50, 18)
+    # ends on a sweep that exhausts its halvings
+    @pytest.mark.parametrize("p,c,n", [(0, 20.0, 14), (1, 50.0, 18), (0, 150.0, 34)])
+    def test_rule_unchanged_and_fewer_builds(self, monkeypatch, p, c, n):
+        ch = ProlateChannel(p, c, 0)
+        calls = []
+
+        def counted(real):
+            def call(*a):
+                calls.append(a)
+                return real(*a)
+
+            return call
+
+        for name in ("rbar_basis", "rbar_basis_with_deriv"):
+            monkeypatch.setattr(kernels, name, counted(getattr(kernels, name)))
+        ref_nodes, ref_weights = _rebuilding_gaussian_rule(ch, n)
+        ref_builds = len(calls)
+        calls.clear()
+        rule = quadrature.gaussian_rule(ch, n)
+        assert np.array_equal(rule.nodes, ref_nodes)
+        assert np.array_equal(rule.weights, ref_weights)
+        assert len(calls) < ref_builds
 
 
 class TestExports:
