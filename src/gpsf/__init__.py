@@ -14,6 +14,7 @@ from .ballquad import (
     integrate_exponential,
     surface_area,
     surface_harmonic,
+    surface_harmonics,
     tensor_rule,
     truncation_bound,
 )

@@ -29,6 +29,7 @@ __all__ = [
     "surface_area",
     "ball_volume",
     "surface_harmonic",
+    "surface_harmonics",
 ]
 
 
@@ -235,32 +236,39 @@ def surface_harmonic(p: int, N: int, ell: int, points: np.ndarray) -> np.ndarray
     For p = 1 the real spherical harmonics are indexed ell = 1..2N+1 in
     the order m = 0, (cos, sin) pairs for m = 1..N.  For p = -1 the two
     harmonics are the constant and the sign function, scaled to unit
-    norm.
+    norm.  This is row ell - 1 of :func:`surface_harmonics`.
     """
     h = harmonic_count(p, N)
     if not 1 <= ell <= h:
         raise ValueError(f"ell must lie in 1..{h} for p={p}, N={N}")
+    return surface_harmonics(p, N, points)[ell - 1]
+
+
+def surface_harmonics(p: int, N: int, points: np.ndarray) -> np.ndarray:
+    """Every surface harmonic of order N at unit vectors ``points``, row ell - 1 S_N^ell.
+
+    For p = 1 one ``sph_harm_y`` call gives the complex harmonics of all
+    orders m = 0..N; the cos and sin harmonics are their real and imaginary parts.
+    """
     if p == 0:
+        if N == 0:
+            return np.full((1, len(points)), 1.0 / math.sqrt(2.0 * math.pi))
         th = np.arctan2(points[:, 1], points[:, 0])
-        if N == 0:
-            return np.full(len(points), 1.0 / math.sqrt(2.0 * math.pi))
-        if ell == 1:
-            return np.cos(N * th) / math.sqrt(math.pi)
-        return np.sin(N * th) / math.sqrt(math.pi)
+        return np.stack([np.cos(N * th), np.sin(N * th)]) / math.sqrt(math.pi)
     if p == -1:
-        if N == 0:
-            return np.full(len(points), 1.0 / math.sqrt(2.0))
-        return np.sign(points[:, 0]) / math.sqrt(2.0)
+        S = np.ones((1, len(points))) if N == 0 else np.sign(points[None, :, 0])
+        return S[: harmonic_count(p, N)] / math.sqrt(2.0)
     if p == 1:
         from scipy.special import sph_harm_y
 
         theta = np.arccos(np.clip(points[:, 2], -1.0, 1.0))
         phi = np.arctan2(points[:, 1], points[:, 0])
-        if ell == 1:
-            return np.real(sph_harm_y(N, 0, theta, phi))
-        m = (ell) // 2
-        y = sph_harm_y(N, m, theta, phi)
-        if ell % 2 == 0:
-            return math.sqrt(2.0) * (-1.0) ** m * np.real(y)
-        return math.sqrt(2.0) * (-1.0) ** m * np.imag(y)
+        m = np.arange(N + 1)
+        y = sph_harm_y(N, m[:, None], theta, phi)
+        scale = (math.sqrt(2.0) * (-1.0) ** m[1:])[:, None]
+        out = np.empty((2 * N + 1, len(points)))
+        out[0] = np.real(y[0])
+        out[1::2] = scale * np.real(y[1:])
+        out[2::2] = scale * np.imag(y[1:])
+        return out
     raise ValueError(f"surface harmonics implemented for p in (-1, 0, 1), got {p}")

@@ -20,7 +20,7 @@ from .interp import ChannelCache, recover_coeffs, sampling_rule
 from .prolate import NumericalError, ProlateChannel, eval_phi, eval_phi_deriv, solve_channel
 from .quadrature import chebyshev_rule, gaussian_rule, rule_to_csv, rule_to_json
 from .roots import find_roots
-from .spectrum import beta_chain, mu_sum_check
+from .spectrum import beta_chain, harmonic_count, mu_sum_check
 
 _FMT = "%.17g"
 
@@ -149,10 +149,13 @@ def _cmd_ball_integrate(args) -> None:
 
 def _cmd_interp(args) -> None:
     dim = args.p + 2
-    x = np.asarray(_floats(args.x))
-    if len(x) != dim:
-        raise ValidationError(f"--x needs {dim} coordinates for p={args.p}")
-    if args.samples:
+    if (args.x is None) == (args.samples is None):
+        raise ValidationError("interp takes either --x or --samples, not both or neither")
+    if args.x is not None:
+        x = np.asarray(_floats(args.x))
+        if len(x) != dim:
+            raise ValidationError(f"--x needs {dim} coordinates for p={args.p}")
+    else:
         data = np.loadtxt(args.samples, delimiter=",", skiprows=1, ndmin=2)
         if data.shape[1] != dim + 2:
             raise ValidationError(
@@ -161,7 +164,7 @@ def _cmd_interp(args) -> None:
             )
     rule = sampling_rule(args.p, args.c, radial_count=args.radial_count,
                          angular_count=args.angular_count)
-    if args.samples:
+    if args.x is None:
         if data.shape[0] != rule.count:
             raise ValidationError(
                 f"sample file has {data.shape[0]} rows, rule has {rule.count} nodes"
@@ -174,13 +177,8 @@ def _cmd_interp(args) -> None:
         samples = data[:, dim] + 1j * data[:, dim + 1]
     else:
         samples = np.exp(1j * args.c * (rule.nodes() @ x))
-    from gpsf.spectrum import harmonic_count
-
-    modes = []
-    for N in range(args.Nmax + 1):
-        for ell in range(1, harmonic_count(args.p, N) + 1):
-            for n in range(args.nmax + 1):
-                modes.append((N, ell, n))
+    modes = [(N, ell, n) for N in range(args.Nmax + 1)
+             for ell in range(1, harmonic_count(args.p, N) + 1) for n in range(args.nmax + 1)]
     cache = ChannelCache(args.p, args.c, args.nmax)
     exp = recover_coeffs(rule, samples, args.c, modes, cache=cache)
     rows = [
@@ -228,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gpsf", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, N=False, n=False, nmax=False):
+    def common(sp, *, N=False, n=False, nmax=False, eps=False):
         sp.add_argument("--p", type=int, required=True, choices=(-1, 0, 1))
         sp.add_argument("--c", type=float, required=True)
         if N:
@@ -239,19 +237,20 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--nmax", type=int, required=True)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--eps", type=float, default=1e-16)
+        if eps:
+            sp.add_argument("--eps", type=float, default=1e-16)
 
     sp = sub.add_parser("eval", help="evaluate Phi_{N,n} and its derivative at radii")
-    common(sp, N=True, n=True)
+    common(sp, N=True, n=True, eps=True)
     sp.add_argument("--r", required=True, help="comma-separated radii in [0,1]")
     sp.set_defaults(func=_cmd_eval)
 
     sp = sub.add_parser("eigs", help="eigenvalue table of one radial channel")
-    common(sp, N=True, nmax=True)
+    common(sp, N=True, nmax=True, eps=True)
     sp.set_defaults(func=_cmd_eigs)
 
     sp = sub.add_parser("roots", help="roots of Phi_{N,n}")
-    common(sp, N=True, n=True)
+    common(sp, N=True, n=True, eps=True)
     sp.set_defaults(func=_cmd_roots)
 
     sp = sub.add_parser("quad-cheb", help="interpolatory radial rule")
@@ -271,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("interp", help="recover expansion coefficients of e^(ic<x,t>)")
     common(sp)
-    sp.add_argument("--x", required=True)
+    sp.add_argument("--x", default=None, help="comma-separated point coordinates, unless --samples")
     sp.add_argument("--Nmax", type=int, required=True)
     sp.add_argument("--nmax", type=int, required=True)
     sp.add_argument("--radial-count", type=int, default=None)
@@ -287,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_spectrum_check)
 
     sp = sub.add_parser("figure-data", help="|lambda| sequences for a list of channels")
-    common(sp, nmax=True)
+    common(sp, nmax=True, eps=True)
     sp.add_argument("--N", required=True, help="comma-separated angular orders")
     sp.set_defaults(func=_cmd_figure_data)
 
@@ -314,6 +313,9 @@ def main(argv=None) -> int:
         args.func(args)
     except (ValidationError, ValueError) as exc:
         print(f"gpsf: invalid request: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # unreadable --samples, unwritable --out
+        print(f"gpsf: file error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"gpsf: numerical failure: {exc}", file=sys.stderr)

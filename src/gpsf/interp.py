@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ballquad import BallRule, angular_rule_from_count, surface_harmonic, tensor_rule, truncation_bound
+from .ballquad import BallRule, angular_rule_from_count, surface_harmonics, tensor_rule, truncation_bound
 from .prolate import ProlateChannel, ZernikeCoeffs, eval_phi, solve_channel, tabulate
 from .quadrature import gaussian_rule
 from .spectrum import EigenTriple, beta_chain, harmonic_count
@@ -92,12 +92,22 @@ def sampling_rule(
         triples = beta_chain(ProlateChannel(p, c2, 0), int(c2 / 2) + 40, mu_stop=1e-18)
         radial_count = math.ceil(len(triples) / 2.0) + 10
     if angular_count is None:
-        m = 4
-        while truncation_bound(p, c2, max(m // 2, 1)) > target and m < 10000:
-            m += 2
-        angular_count = m
+        angular_count = _angular_count(p, c2, target)
     radial = gaussian_rule(ProlateChannel(p, c2, 0), radial_count)
     return tensor_rule(radial, angular_rule_from_count(p, angular_count))
+
+
+def _angular_count(p: int, c2: float, target: float) -> int:
+    # smallest even m >= 4 with truncation bound <= target at degree m/2, capped at 10000; the bound
+    # cannot rise with the degree: bracket by doubling (far past it bounds are slow), then bisect
+    hi = 2
+    while hi < 5000 and truncation_bound(p, c2, hi) > target:
+        hi *= 2
+    lo, hi = hi // 2, min(hi, 5000)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if truncation_bound(p, c2, mid) > target else (lo, mid)
+    return 2 * hi
 
 
 def _check_modes(p: int, modes) -> None:
@@ -121,15 +131,15 @@ def _check_cache(cache: ChannelCache, p: int, c: float, nmax: int) -> None:
         raise ValueError(f"mode n={nmax} exceeds the channel cache's nmax={cache.nmax}")
 
 
-def _angular_projection(rule: BallRule, F: np.ndarray, G, N: int, ell: int) -> np.ndarray:
+def _angular_projection(rule: BallRule, F: np.ndarray, G, S, N: int, ell: int) -> np.ndarray:
     """Integral over the sphere of f(r_j .) S_N^ell at every radial node r_j.
 
     ``G`` holds the disk's FFT bins G[j, k] = integral f e^(-i k th), or is
-    None for the generic sum over the angular nodes of ``F``.
+    None for the generic sum over the angular nodes of ``F``, with ``S``
+    the harmonics of order N at those nodes.
     """
     if G is None:
-        S = surface_harmonic(rule.angular.p, N, ell, rule.angular.points)
-        return F @ (rule.angular.weights * S)
+        return F @ (rule.angular.weights * S[ell - 1])
     if N == 0:
         return G[:, 0] / math.sqrt(2.0 * math.pi)
     pos, neg = G[:, N], G[:, -N % G.shape[1]]
@@ -147,7 +157,8 @@ def recover_coeffs(
     """Project sampled values of a band-limited function onto the basis.
 
     Each channel N is tabulated once at the radial nodes, for all its
-    cached modes, and each angular projection is formed once per (N, ell).
+    cached modes, its harmonics once at the angular nodes, and each
+    angular projection is formed once per (N, ell).
 
     Parameters
     ----------
@@ -202,10 +213,11 @@ def recover_coeffs(
     for N in sorted(wanted):
         triples = cache.triples(N)
         phi = tabulate(cache.modes(N), rule.radial.nodes)
+        S = surface_harmonics(p, N, rule.angular.points) if G is None else None
         ang: dict[int, np.ndarray] = {}
         for ell, n in wanted[N]:
             if ell not in ang:
-                ang[ell] = _angular_projection(rule, F, G, N, ell)
+                ang[ell] = _angular_projection(rule, F, G, S, N, ell)
             key = (N, ell, n)
             terms[key] = complex(np.sum(rweights * phi[n] * ang[ell]))
             if n >= len(triples) or abs(triples[n].lam) < _RELIABLE_FLOOR:
@@ -220,8 +232,8 @@ def synthesize(
 ) -> complex:
     """Evaluate the expansion at a point of the closed unit ball.
 
-    Phi_{N,n}(|x|) is evaluated once per (N, n) and S_N^ell(x/|x|) once
-    per (N, ell); the terms are summed in sorted order.
+    Phi_{N,n}(|x|) is evaluated once per (N, n) and the harmonics
+    S_N^ell(x/|x|) once per N; the terms are summed in sorted order.
     """
     x = np.asarray(x, dtype=float)
     r = float(np.linalg.norm(x))
@@ -239,16 +251,16 @@ def synthesize(
     else:
         xhat = x / r
     phi: dict[tuple[int, int], float] = {}
-    harm: dict[tuple[int, int], float] = {}
+    harm: dict[int, np.ndarray] = {}
     total = 0.0 + 0.0j
     for (N, ell, n), coeff in sorted(expansion.terms.items()):
         if coeff == 0.0:
             continue
         if (N, n) not in phi:
             phi[N, n] = eval_phi(cache.modes(N)[n], r)
-        if (N, ell) not in harm:
-            harm[N, ell] = float(surface_harmonic(expansion.p, N, ell, xhat[None, :])[0])
-        total += coeff * phi[N, n] * harm[N, ell]
+        if N not in harm:
+            harm[N] = surface_harmonics(expansion.p, N, xhat[None, :])[:, 0]
+        total += coeff * phi[N, n] * float(harm[N][ell - 1])
     return total
 
 

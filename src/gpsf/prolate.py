@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from . import kernels
-from .special import RadialModeId, chi_zero
+from .special import RadialModeId
 
 __all__ = [
     "ProlateChannel",
@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _SAFETY_MARGIN = 10  # extra basis functions beyond the decay bound
+_MAX_ENLARGEMENTS = 5  # truncation steps of 2 * _SAFETY_MARGIN before a solve gives up
 
 
 class NumericalError(RuntimeError):
@@ -121,6 +122,16 @@ class ZernikeCoeffs:
         return float(self.coeffs @ np.sqrt(2.0 * (2.0 * k + self.channel.alpha + 1.0)))
 
 
+def _diag_and_super(channel: ProlateChannel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # diagonal b and superdiagonal c of the operator matrix at the given rows
+    al, c2, k = channel.alpha, channel.c * channel.c, rows.astype(float)
+    t = 2.0 * k + al
+    shift = 0.0 if al == 0.0 else c2 * al * al / (2.0 * t * (t + 2.0))
+    b = shift + 0.5 * c2 + (t + 0.5) * (t + 1.5)  # chi_zero(row) = (t + 1/2)(t + 3/2)
+    cx = c2 * (k + 1.0 + al) * (k + 1.0) / ((t + 2.0) * np.sqrt(t + 3.0) * np.sqrt(t + 1.0))
+    return b, cx
+
+
 def tridiag_entries(channel: ProlateChannel, row: int) -> tuple[float, float, float]:
     """Entries (a_row, b_row, c_row) of the tridiagonal operator matrix.
 
@@ -137,34 +148,14 @@ def tridiag_entries(channel: ProlateChannel, row: int) -> tuple[float, float, fl
     """
     if row < 0:
         raise ValueError("row must be nonnegative")
-    al = channel.alpha
-    c2 = channel.c * channel.c
-    t = 2.0 * row + al
-    if al == 0.0:
-        diag_shift = 0.0
-    else:
-        diag_shift = c2 * al * al / (2.0 * t * (t + 2.0))
-    b = diag_shift + 0.5 * c2 + chi_zero(channel.mode_id(row))
-    cx = c2 * (row + 1.0 + al) * (row + 1.0) / (
-        (t + 2.0) * math.sqrt(t + 3.0) * math.sqrt(t + 1.0)
-    )
-    if row == 0:
-        a = 0.0
-    else:
-        tm = t - 2.0
-        a = c2 * (row + al) * row / ((tm + 2.0) * math.sqrt(tm + 3.0) * math.sqrt(tm + 1.0))
-    return a, b, cx
+    b, cx = _diag_and_super(channel, np.arange(max(row - 1, 0), row + 1))
+    return (float(cx[0]) if row > 0 else 0.0), float(b[-1]), float(cx[-1])
 
 
 def tridiag_matrix(channel: ProlateChannel, K: int) -> TridiagSym:
     """Upper-left K-by-K section of the operator matrix."""
-    diag = np.empty(K)
-    off = np.empty(max(K - 1, 0))
-    for i in range(K):
-        _, diag[i], cx = tridiag_entries(channel, i)
-        if i < K - 1:
-            off[i] = cx
-    return TridiagSym(diag, off)
+    b, cx = _diag_and_super(channel, np.arange(K))
+    return TridiagSym(b, cx[:-1])
 
 
 def choose_truncation(channel: ProlateChannel, nmax: int, eps: float) -> int:
@@ -201,18 +192,19 @@ def solve_channel(
 
     Returns the modes sorted by ascending eigenvalue chi (strict increase
     is asserted; the spectrum is simple).  Each coefficient vector is
-    normalized and sign-fixed so Phi_{N,n}(1) > 0.  The realized
-    coefficient tail is checked against ``eps`` and the truncation is
-    enlarged once if needed.
+    normalized and sign-fixed so Phi_{N,n}(1) > 0.  The last coefficient
+    of every mode must fall below 10 * ``eps``; while it does not, the
+    truncation K grows by 20 and the channel is solved again.
 
     Raises
     ------
     NumericalError
-        If the tridiagonal eigensolver fails to converge.
+        If the tridiagonal eigensolver fails to converge, or the tail is
+        still above 10 * ``eps`` after five enlargements of K.
     """
     if K is None:
         K = choose_truncation(channel, nmax, eps)
-    for attempt in range(2):
+    for step in range(_MAX_ENLARGEMENTS + 1):
         mat = tridiag_matrix(channel, K)
         try:
             chis, vecs = eigh_tridiagonal(
@@ -223,20 +215,19 @@ def solve_channel(
                 f"tridiagonal eigensolver failed for channel {channel} (K={K}): {exc}"
             ) from exc
         tail = np.max(np.abs(vecs[-1, :]))
-        if tail < 10.0 * eps or attempt == 1:
+        if tail < 10.0 * eps:
             break
+        if step == _MAX_ENLARGEMENTS:
+            raise NumericalError(f"coefficient tail {tail:.3e} of channel {channel} is still "
+                                 f"above {10.0 * eps:.3e} at K={K} after {step} enlargements")
         K += 2 * _SAFETY_MARGIN
     if np.any(np.diff(chis) <= 0.0):
         raise NumericalError(f"eigenvalues not strictly increasing for channel {channel}")
-    w1 = _phi_one_weights(channel, K)
-    modes = []
-    for n in range(nmax + 1):
-        v = vecs[:, n].copy()
-        v /= np.linalg.norm(v)
-        if v @ w1 < 0.0:
-            v = -v
-        modes.append(ZernikeCoeffs(channel, n, float(chis[n]), v))
-    return modes
+    # one row per mode; each stacked 1-by-K product is one dot product, as in norm(v) and v @ w
+    V = vecs.T
+    A = V / np.sqrt(V[:, None, :] @ V[:, :, None])[:, 0]
+    A[(A[:, None, :] @ _phi_one_weights(channel, K)[:, None])[:, 0, 0] < 0.0] *= -1.0
+    return [ZernikeCoeffs(channel, n, float(chis[n]), A[n]) for n in range(nmax + 1)]
 
 
 def _as_points(r) -> np.ndarray:

@@ -37,6 +37,7 @@ __all__ = [
 _EPS = np.finfo(float).eps
 _DEN_UNDERFLOW = 1e-280
 _CHAIN_UNDERFLOW = 1e-250
+_FIRST_BATCH = 16  # highest mode of the first solve of a chain that stops at mu_stop
 
 
 @dataclass(frozen=True)
@@ -131,21 +132,22 @@ def convert_rtprime(coeffs: np.ndarray, N: int, p: int) -> np.ndarray:
     whose repeated application turns the input into suffix sums: with
     ``sigma_i = sum_{j>=i} x_j`` (in the unnormalized scaling) the output
     T-coefficient at i is ``sigma_i (nu+2i) + sigma_{i+1} (nu+2i+1)``.
-    The orthonormal rescaling is applied on the way in and out.
+    The orthonormal rescaling is applied on the way in and out.  A 2-D
+    input holds one expansion per row.
     """
     x = np.asarray(coeffs, dtype=float)
-    if x.ndim != 1 or len(x) == 0:
-        raise ValueError("coefficient vector must be one-dimensional and nonempty")
+    if x.ndim not in (1, 2) or x.shape[-1] == 0:
+        raise ValueError("coefficients must be a nonempty vector or one vector per row")
     al = N + p / 2.0
     nu = al + 0.5
-    k = np.arange(len(x))
+    k = np.arange(x.shape[-1])
     scale = np.sqrt(2.0 * (2.0 * k + al + 1.0))
     if not np.all(scale > 0.0):
         raise NumericalError("degenerate leading coupling coefficient")
     xh = x * scale
-    sigma = np.cumsum(xh[::-1])[::-1]
+    sigma = np.cumsum(xh[..., ::-1], axis=-1)[..., ::-1]
     sigma_next = np.zeros_like(sigma)
-    sigma_next[:-1] = sigma[1:]
+    sigma_next[..., :-1] = sigma[..., 1:]
     y = sigma * (nu + 2.0 * k) + sigma_next * (nu + 2.0 * k + 1.0)
     return y / scale
 
@@ -191,46 +193,49 @@ def beta_chain(
 
     with both integrals evaluated as coefficient dot products.  The chain
     stops early (with a warning) if a denominator integral falls below
-    1e-250, or once mu drops below ``mu_stop``.
+    1e-250, or once mu drops below ``mu_stop``.  With ``mu_stop`` > 0 and
+    no ``modes``, only the modes the chain uses are solved: the first 17,
+    and twice as many each time the chain uses them all.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if modes is None:
-        modes = solve_channel(channel, kmax, eps)
-    beta = beta_direct(modes[0])
-    out = [
-        EigenTriple(
-            beta,
-            lambda_from_beta(channel.p, channel.N, beta),
-            mu_from_beta(channel.p, channel.c, beta),
-            channel.mode_id(0),
-        )
-    ]
-    x_cur = rphi_prime_coeffs(modes[0])
-    for n in range(kmax):
-        x_next = rphi_prime_coeffs(modes[n + 1])
-        num = pair_inner(x_cur, modes[n + 1].coeffs)
-        den = pair_inner(x_next, modes[n].coeffs)
+        return _sized_chain(channel, kmax, eps, mu_stop, _FIRST_BATCH if mu_stop > 0.0 else kmax)
+    if len(modes) <= kmax:
+        raise ValueError(f"the chain to kmax={kmax} needs {kmax + 1} modes, got {len(modes)}")
+    return _chain(channel, modes[: kmax + 1], mu_stop)
+
+
+def _sized_chain(channel, kmax: int, eps: float, mu_stop: float, first: int) -> list[EigenTriple]:
+    # solve modes 0..first, and twice as many while the chain uses every
+    # solved mode without reaching mu_stop or kmax
+    m = min(first, kmax)
+    while True:
+        chain = _chain(channel, solve_channel(channel, m, eps), mu_stop)
+        if m == kmax or len(chain) <= m or chain[-1].mu < mu_stop:
+            return chain
+        m = min(2 * m + 1, kmax)
+
+
+def _chain(channel: ProlateChannel, modes: list[ZernikeCoeffs], mu_stop: float) -> list[EigenTriple]:
+    # the ratio chain over all of ``modes`` (see beta_chain)
+    p, c, N = channel.p, channel.c, channel.N
+
+    def triple(n: int, beta: float) -> EigenTriple:
+        return EigenTriple(beta, lambda_from_beta(p, N, beta), mu_from_beta(p, c, beta), channel.mode_id(n))
+
+    out = [triple(0, beta_direct(modes[0]))]
+    A = np.vstack([m.coeffs for m in modes])
+    X = convert_rtprime(A, N, p) - (p + 1) / 2.0 * A  # rphi_prime_coeffs of every mode
+    for n in range(len(modes) - 1):
+        num = pair_inner(X[n], modes[n + 1].coeffs)
+        den = pair_inner(X[n + 1], modes[n].coeffs)
         if abs(den) < _CHAIN_UNDERFLOW:
-            warnings.warn(
-                f"ratio chain truncated at n={n + 1} for channel {channel}: "
-                f"denominator integral {den:.3e}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            warnings.warn(f"ratio chain truncated at n={n + 1} for channel {channel}: "
+                          f"denominator integral {den:.3e}", RuntimeWarning, stacklevel=3)
             break
-        beta = beta * num / den
-        mu = mu_from_beta(channel.p, channel.c, beta)
-        out.append(
-            EigenTriple(
-                beta,
-                lambda_from_beta(channel.p, channel.N, beta),
-                mu,
-                channel.mode_id(n + 1),
-            )
-        )
-        x_cur = x_next
-        if mu < mu_stop:
+        out.append(triple(n + 1, out[-1].beta * num / den))
+        if out[-1].mu < mu_stop:
             break
     return out
 
@@ -251,15 +256,21 @@ def mu_sum_check(p: int, c: float, Nmax: int, nmax: int) -> tuple[float, float]:
 
     Returns ``(partial_sum, closed_form)`` where the closed form is
     ``c^(p+2) / (2^(p+2) Gamma(p/2+2)^2)``.  Channels are cut off once mu
-    falls below 1e-26 since the omitted tail decays super-exponentially.
+    falls below 1e-26 since the omitted tail decays super-exponentially,
+    and end at the first channel whose top mu is below 1e-26.  Each channel
+    first solves as many modes as the previous chain used (mu falls with N).
     """
     total = 0.0
+    batch = _FIRST_BATCH
     for N in range(Nmax + 1):
         h = harmonic_count(p, N)
         if h == 0:
             continue
-        triples = beta_chain(ProlateChannel(p, c, N), nmax, mu_stop=1e-26)
+        triples = _sized_chain(ProlateChannel(p, c, N), nmax, 1e-16, 1e-26, batch)
         total += h * sum(t.mu for t in triples)
+        if triples[0].mu < 1e-26:
+            break
+        batch = len(triples) - 1
     closed = c ** (p + 2) / (2.0 ** (p + 2) * math.gamma(p / 2.0 + 2.0) ** 2)
     return total, closed
 

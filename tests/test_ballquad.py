@@ -56,6 +56,34 @@ class TestAngularRule:
         gram = (B * rule.weights) @ B.T
         assert np.max(np.abs(gram - np.eye(len(basis)))) < 1e-12
 
+    @pytest.mark.parametrize("p", [-1, 0, 1])
+    def test_harmonic_table_matches_per_index_formula(self, p):
+        # each row of surface_harmonics equals, bit for bit, the harmonic
+        # written out per (N, ell): cos/sin on the circle, and on the
+        # sphere the real or imaginary part of its own sph_harm_y call
+        from scipy.special import sph_harm_y
+
+        pts = gpsf.angular_rule(p, 13).points
+        theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0)) if p == 1 else None
+        az = np.arctan2(pts[:, 1], pts[:, 0]) if p >= 0 else None
+        for N in range(2 if p == -1 else 12):
+            table = gpsf.surface_harmonics(p, N, pts)
+            assert table.shape == (gpsf.harmonic_count(p, N), len(pts))
+            for ell in range(1, len(table) + 1):
+                if p == -1:
+                    ref = (np.ones(len(pts)) if N == 0 else np.sign(pts[:, 0])) / math.sqrt(2.0)
+                elif p == 0 and N == 0:
+                    ref = np.full(len(pts), 1.0 / math.sqrt(2.0 * math.pi))
+                elif p == 0:
+                    ref = (np.cos if ell == 1 else np.sin)(N * az) / math.sqrt(math.pi)
+                else:
+                    m = ell // 2
+                    y = sph_harm_y(N, m, theta, az)
+                    part = np.real(y) if ell % 2 == 0 or ell == 1 else np.imag(y)
+                    ref = part if m == 0 else math.sqrt(2.0) * (-1.0) ** m * part
+                assert np.array_equal(table[ell - 1], ref), (N, ell)
+                assert np.array_equal(surface_harmonic(p, N, ell, pts), ref)
+
     def test_interval_endpoints(self):
         rule = gpsf.angular_rule(-1, 3)
         assert np.array_equal(rule.weights, [1.0, 1.0])

@@ -148,11 +148,11 @@ class TestInterpCommand:
         path = tmp_path / "samples.csv"
         rows = np.column_stack([rule.nodes(), samples.real, samples.imag])
         np.savetxt(path, rows, delimiter=",", header="x1,x2,f_re,f_im", comments="")
-        args = ["interp", "--p", "0", "--c", "10", "--x", "0.3,0.4", "--Nmax", "1",
+        args = ["interp", "--p", "0", "--c", "10", "--Nmax", "1",
                 "--nmax", "1", "--radial-count", "12", "--angular-count", "40"]
-        _, direct, _ = run_cli(args, capsys)
-        _, from_file, _ = run_cli(args + ["--samples", str(path)], capsys)
-        assert direct == from_file
+        _, direct, _ = run_cli(args + ["--x", "0.3,0.4"], capsys)
+        code, from_file, _ = run_cli(args + ["--samples", str(path)], capsys)
+        assert code == 0 and direct == from_file
 
     def _sample_file(self, tmp_path, columns):
         path = tmp_path / "samples.csv"
@@ -167,7 +167,7 @@ class TestInterpCommand:
         nodes[5, 1] += 1e-9
         path = self._sample_file(tmp_path, [nodes, np.ones(rule.count), np.zeros(rule.count)])
         code, out, err = run_cli(
-            ["interp", "--p", "0", "--c", "10", "--x", "0.3,0.4", "--Nmax", "1", "--nmax", "1",
+            ["interp", "--p", "0", "--c", "10", "--Nmax", "1", "--nmax", "1",
              "--radial-count", "12", "--angular-count", "40", "--samples", path],
             capsys,
         )
@@ -179,12 +179,27 @@ class TestInterpCommand:
         # p=1 needs 3 node columns; a disk-shaped file has 2
         path = self._sample_file(tmp_path, [np.zeros((4, 2)), np.ones(4), np.zeros(4)])
         code, out, err = run_cli(
-            ["interp", "--p", "1", "--c", "2", "--x", "0.1,0.2,0.3", "--Nmax", "1", "--nmax", "1",
+            ["interp", "--p", "1", "--c", "2", "--Nmax", "1", "--nmax", "1",
              "--samples", path],
             capsys,
         )
         assert code == 2 and out == ""
         assert "sample file has 4 columns, expected 5" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("extra, message", [
+        ([], "either --x or --samples"),
+        (["--x", "0.3,0.4", "--samples", "unused.csv"], "either --x or --samples"),
+        (["--samples", "no-such-file.csv"], "no-such-file.csv not found"),
+    ])
+    def test_point_or_sample_file_required(self, capsys, tmp_path, monkeypatch, extra, message):
+        # exactly one of --x and --samples, and an unreadable file is a request error
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            ["interp", "--p", "0", "--c", "10", "--Nmax", "1", "--nmax", "1"] + extra, capsys
+        )
+        assert code == 2 and out == ""
+        assert message in err
         assert err.count("\n") == 1
 
 
@@ -272,6 +287,29 @@ class TestExitCodes:
         code, out, err = run_cli(args, capsys)
         assert code == 2 and out == ""
         assert "argument --p: invalid choice: 2" in err
+
+    @pytest.mark.parametrize("args", [
+        ["eval", "--p", "0", "--c", "20", "--N", "0", "--n", "3", "--r", "0.5"],
+        ["eigs", "--p", "0", "--c", "20", "--N", "0", "--nmax", "3"],
+        ["roots", "--p", "0", "--c", "20", "--N", "0", "--n", "3"],
+        ["figure-data", "--p", "0", "--c", "20", "--N", "0,1", "--nmax", "3"],
+    ])
+    def test_eps_accepted_where_it_is_used(self, capsys, args):
+        code, out, err = run_cli(args + ["--eps", "1e-14"], capsys)
+        assert code == 0 and out, err
+
+    @pytest.mark.parametrize("args", [
+        ["quad-cheb", "--p", "0", "--c", "20", "--n", "14"],
+        ["quad-gauss", "--p", "0", "--c", "20", "--n", "10"],
+        ["ball-integrate", "--p", "0", "--c", "20", "--x", "0.9,0.2",
+         "--radial", "cheb:14", "--angular", "50"],
+        ["interp", "--p", "0", "--c", "10", "--x", "0.3,0.4", "--Nmax", "1", "--nmax", "1"],
+        ["spectrum-check", "--p", "0", "--c", "10"],
+    ])
+    def test_eps_refused_where_it_has_no_effect(self, capsys, args):
+        code, out, err = run_cli(args + ["--eps", "1e-14"], capsys)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --eps" in err
 
     def test_wrong_point_dimension(self, capsys):
         code, _, _ = run_cli(

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 import gpsf
 from gpsf import interp, kernels
@@ -156,6 +157,39 @@ class TestSynthesize:
             gpsf.synthesize(exp, [1.2, 0.0])
 
 
+# (p, c) of the benchmark's recovery pipelines, with the radial count and the
+# angular count m of their default sampling rules (m = 4 on the interval,
+# where the angular rule is the two endpoints whatever m is)
+RECOVER_RULES = [
+    (-1, 10.0, 18, 4), (-1, 25.0, 24, 4), (-1, 40.0, 29, 4),
+    (0, 4.0, 15, 44), (0, 8.0, 17, 68), (0, 12.0, 19, 92),
+    (1, 1.0, 13, 22), (1, 2.0, 14, 30),
+]
+
+
+def _linear_angular_count(p, c2, target=1e-15):
+    """The angular count by linear search over even m, capped at 10000."""
+    m = 4
+    while gpsf.truncation_bound(p, c2, max(m // 2, 1)) > target and m < 10000:
+        m += 2
+    return m
+
+
+class TestSamplingRuleSizes:
+    @pytest.mark.parametrize("p, c, radial, angular", RECOVER_RULES)
+    def test_recover_rule_counts(self, p, c, radial, angular):
+        rule = gpsf.sampling_rule(p, c)
+        assert len(rule.radial.nodes) == radial
+        assert interp._angular_count(p, 2.0 * c, 1e-15) == angular
+        if p >= 0:
+            assert len(rule.angular.azimuths) == angular
+
+    @pytest.mark.parametrize("p, c", [(p, c) for p, c, _, _ in RECOVER_RULES]
+                             + [(p, c) for p in (-1, 0, 1) for c in (50.0, 200.0)])
+    def test_bisection_matches_linear_search(self, p, c):
+        assert interp._angular_count(p, 2.0 * c, 1e-15) == _linear_angular_count(p, 2.0 * c)
+
+
 # (p, c, radial count, angular count, Nmax, nmax, use_fft): the FFT path on
 # the disk and the per-node path in every dimension
 TABULATION_CASES = [
@@ -255,10 +289,22 @@ class TestChannelTabulation:
 
     @pytest.mark.parametrize("case", [i for i, t in enumerate(TABULATION_CASES) if t[0] == 1])
     def test_one_harmonic_per_order_and_index(self, tabulation_runs, monkeypatch, case):
+        # every S_N^ell comes from one harmonic table per order N, and the
+        # table from one sph_harm_y call over m = 0..N: the cos and sin
+        # harmonics of one (N, m) share their complex value
         rule, samples, c, cache, modes, use_fft = tabulation_runs[case]
-        calls = _counting(monkeypatch, interp, "surface_harmonic")
-        interp.recover_coeffs(rule, samples, c, modes, cache=cache, use_fft=use_fft)
-        assert sorted((a[1], a[2]) for a in calls) == sorted({(N, ell) for N, ell, _ in modes})
+        tables = _counting(monkeypatch, interp, "surface_harmonics")
+        sph = _counting(monkeypatch, scipy.special, "sph_harm_y")
+        exp = interp.recover_coeffs(rule, samples, c, modes, cache=cache, use_fft=use_fft)
+        orders = sorted({N for N, _, _ in modes})
+        assert sorted(a[1] for a in tables) == orders
+        assert sorted(a[0] for a in sph) == orders
+        assert all(np.array_equal(np.ravel(a[1]), np.arange(a[0] + 1)) for a in sph)
+        tables.clear()
+        sph.clear()
+        interp.synthesize(exp, [0.1, -0.2, 0.3], cache=cache)
+        assert sorted(a[1] for a in tables) == orders
+        assert sorted(a[0] for a in sph) == orders
 
 
 class TestRequestValidation:

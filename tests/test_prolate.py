@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,26 @@ class TestTridiagEntries:
         assert chi_mid - chi_small == pytest.approx(0.09 / 3.0, rel=1e-2)
 
 
+    @pytest.mark.parametrize("p, c, N", [(-1, 7.5, 1), (0, 100.0, 0), (0, 1e-8, 2), (1, 35.0, 4)])
+    def test_matrix_matches_row_formulas(self, p, c, N):
+        # the array assembly equals, bit for bit, the entries written out
+        # row by row on Python floats
+        ch = ProlateChannel(p, c, N)
+        al, c2 = ch.alpha, c * c
+        diag, sup = [], []
+        for row in range(80):
+            t = 2.0 * row + al
+            shift = 0.0 if al == 0.0 else c2 * al * al / (2.0 * t * (t + 2.0))
+            diag.append(shift + 0.5 * c2 + gpsf.chi_zero(ch.mode_id(row)))
+            sup.append(c2 * (row + 1.0 + al) * (row + 1.0)
+                       / ((t + 2.0) * math.sqrt(t + 3.0) * math.sqrt(t + 1.0)))
+        mat = gpsf.tridiag_matrix(ch, 80)
+        assert np.array_equal(mat.diag, diag) and np.array_equal(mat.offdiag, sup[:-1])
+        for row in (0, 1, 79):
+            a, b, cx = gpsf.tridiag_entries(ch, row)
+            assert (a, b, cx) == ((sup[row - 1] if row else 0.0), diag[row], sup[row])
+
+
 class TestChooseTruncation:
     def test_reference_configuration(self):
         ch = ProlateChannel(0, 20.0, 0)
@@ -77,6 +99,25 @@ class TestSolveChannel:
         modes = channels(1, 50.0, 0, 30)
         chis = [m.chi for m in modes]
         assert np.all(np.diff(chis) > 0.0)
+
+    def test_truncation_grows_until_the_tail_is_small(self):
+        # at (0, 100, 0) the first K = 150 leaves mode 140 a large last
+        # coefficient; one step of 20 brings every tail below 10 eps
+        ch = ProlateChannel(0, 100.0, 0)
+        assert gpsf.choose_truncation(ch, 140, 1e-16) == 150
+        modes = gpsf.solve_channel(ch, 140)
+        assert len(modes[0].coeffs) == 170
+        assert max(abs(m.coeffs[-1]) for m in modes) < 1e-15
+
+    def test_growth_cap_raises(self, monkeypatch):
+        from gpsf import prolate
+
+        monkeypatch.setattr(prolate, "_MAX_ENLARGEMENTS", 0)
+        with pytest.raises(gpsf.NumericalError, match=r"coefficient tail .* at K=150 after 0"):
+            gpsf.solve_channel(ProlateChannel(0, 100.0, 0), 140)
+        # a first K that passes is not affected by the cap
+        assert len(gpsf.solve_channel(ProlateChannel(0, 100.0, 0), 40)[0].coeffs) == 146
+
 
     def test_unit_norm_and_sign(self, channels):
         for m in channels(0, 20.0, 0, 10):

@@ -217,6 +217,65 @@ class TestMuSum:
         assert 1.0 - 1e-6 <= ratio <= 1.0 + 1e-10
 
 
+def _full_solve_sum(p, c, Nmax, nmax):
+    """The spectral sum with every channel solved for all nmax + 1 modes."""
+    total = 0.0
+    for N in range(Nmax + 1):
+        h = harmonic_count(p, N)
+        if h == 0:
+            continue
+        ch = ProlateChannel(p, c, N)
+        chain = gpsf.beta_chain(ch, nmax, modes=gpsf.solve_channel(ch, nmax), mu_stop=1e-26)
+        total += h * sum(t.mu for t in chain)
+    return total
+
+
+class TestRightSizedSum:
+    """mu_sum_check solves only the modes each chain uses."""
+
+    @pytest.mark.parametrize("p, c", [(-1, 80.0), (0, 50.0), (1, 50.0)])
+    def test_matches_full_solves(self, p, c):
+        Nmax = nmax = int(c) + 40
+        partial, closed = gpsf.mu_sum_check(p, c, Nmax, nmax)
+        assert partial == pytest.approx(_full_solve_sum(p, c, Nmax, nmax), rel=1e-14, abs=0.0)
+        assert partial == pytest.approx(closed, rel=1e-13, abs=0.0)
+
+    def test_eigenvector_columns_requested(self, monkeypatch):
+        # at (0, 50) the chains use about a seventh of the (Nmax+1)(nmax+1)
+        # modes that full solves would compute
+        from gpsf import prolate
+
+        columns = []
+        real = prolate.eigh_tridiagonal
+
+        def counted(d, e, **kw):
+            lo, hi = kw["select_range"]
+            columns.append(hi - lo + 1)
+            return real(d, e, **kw)
+
+        monkeypatch.setattr(prolate, "eigh_tridiagonal", counted)
+        Nmax = nmax = 90
+        gpsf.mu_sum_check(0, 50.0, Nmax, nmax)
+        assert 0 < sum(columns) <= (Nmax + 1) * (nmax + 1) / 4
+
+    @pytest.mark.parametrize("p, c, N, mu_stop", [(0, 100.0, 0, 1e-26), (1, 50.0, 3, 1e-18),
+                                                  (-1, 80.0, 1, 1e-18)])
+    def test_chain_matches_full_solve(self, p, c, N, mu_stop):
+        # beta_chain with mu_stop and no modes solves in growing batches;
+        # it stops at the same mode as the chain over one full solve
+        ch = ProlateChannel(p, c, N)
+        kmax = int(c) + 40
+        sized = gpsf.beta_chain(ch, kmax, mu_stop=mu_stop)
+        full = gpsf.beta_chain(ch, kmax, modes=gpsf.solve_channel(ch, kmax), mu_stop=mu_stop)
+        assert len(sized) == len(full) > 17
+        for a, b in zip(sized, full):
+            assert a.mu == pytest.approx(b.mu, rel=1e-10, abs=1e-30)
+
+    def test_too_few_modes_rejected(self, channels):
+        with pytest.raises(ValueError, match="needs 6 modes"):
+            gpsf.beta_chain(ProlateChannel(0, 20.0, 0), 5, modes=channels(0, 20.0, 0, 3)[:4])
+
+
 class TestBetaDc:
     def test_finite_difference(self):
         c, dc = 20.0, 20.0 * 1e-4
