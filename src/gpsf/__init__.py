@@ -30,9 +30,11 @@ from .interp import (
 from .prolate import (
     NumericalError,
     ProlateChannel,
+    RadialModeId,
     TridiagSym,
     ZernikeCoeffs,
     choose_truncation,
+    chi_zero,
     eval_phi,
     eval_phi_and_deriv,
     eval_phi_deriv,
@@ -45,17 +47,6 @@ from .prolate import (
 )
 from .quadrature import QuadratureRule1D, chebyshev_rule, gaussian_rule, rule_to_csv, rule_to_json
 from .roots import find_roots
-from .special import (
-    JacobiParam,
-    RadialModeId,
-    bessel_j,
-    chi_zero,
-    jacobi_p,
-    jacobi_p_deriv,
-    tbar,
-    zernike_radial,
-    zernike_radial_norm,
-)
 from .spectrum import (
     EigenTriple,
     beta_chain,

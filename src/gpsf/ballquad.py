@@ -203,6 +203,7 @@ def truncation_bound(p: int, c: float, K: int) -> float:
     (2 pi)^(p/2+1) * (c/2)^(2N) 2^(-p) / Gamma(N+p/2+1)^2 * V_(p+2)(1)
     * (sum over the h(N) harmonics of their maximum modulus, bounded by
     h(N)/sqrt(area)).  Decreases super-exponentially once 2N exceeds e*c.
+    A term past the float range makes the bound ``math.inf``.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
@@ -221,7 +222,10 @@ def truncation_bound(p: int, c: float, K: int) -> float:
             + math.log(h)
             - sqrt_area
         )
-        term = math.exp(lt) if lt > -745.0 else 0.0
+        try:
+            term = math.exp(lt) if lt > -745.0 else 0.0
+        except OverflowError:
+            return math.inf
         total += term
         if term < 1e-30 * max(total, 1e-300):
             break

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _RELIABLE_FLOOR = 1e-3 * np.finfo(float).eps
+_MAX_DEGREE = 5000  # highest angular degree of a sampling rule, whose angular count is twice it
 
 
 class ChannelCache:
@@ -84,26 +85,31 @@ def sampling_rule(
     The radial factor is a Gauss-type rule sized from the eigenvalue
     spectrum of the doubled channel (half the count of significant modes,
     plus ten); the angular count is the first for which the product
-    truncation envelope falls below ``target``.
+    truncation envelope falls below ``target``.  A band limit that no
+    angular count up to 10000 serves raises ``ValueError`` before any
+    channel is solved.
     """
     c2 = 2.0 * c
+    if angular_count is None:
+        angular_count = _angular_count(p, c2, target)
     if radial_count is None:
         # significant radial modes end a little past the transition index
         triples = beta_chain(ProlateChannel(p, c2, 0), int(c2 / 2) + 40, mu_stop=1e-18)
         radial_count = math.ceil(len(triples) / 2.0) + 10
-    if angular_count is None:
-        angular_count = _angular_count(p, c2, target)
     radial = gaussian_rule(ProlateChannel(p, c2, 0), radial_count)
     return tensor_rule(radial, angular_rule_from_count(p, angular_count))
 
 
 def _angular_count(p: int, c2: float, target: float) -> int:
-    # smallest even m >= 4 with truncation bound <= target at degree m/2, capped at 10000; the bound
+    # smallest even m >= 4 with truncation bound <= target at degree m/2, at most 10000; the bound
     # cannot rise with the degree: bracket by doubling (far past it bounds are slow), then bisect
     hi = 2
-    while hi < 5000 and truncation_bound(p, c2, hi) > target:
+    while hi < _MAX_DEGREE and truncation_bound(p, c2, hi) > target:
         hi *= 2
-    lo, hi = hi // 2, min(hi, 5000)
+    lo, hi = hi // 2, min(hi, _MAX_DEGREE)
+    if hi == _MAX_DEGREE and truncation_bound(p, c2, hi) > target:
+        raise ValueError(f"band limit c={c2 / 2.0:g} needs an angular count above {2 * _MAX_DEGREE} "
+                         f"for a truncation bound of {target:g}")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if truncation_bound(p, c2, mid) > target else (lo, mid)

@@ -21,10 +21,11 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from . import kernels
-from .special import RadialModeId
 
 __all__ = [
     "ProlateChannel",
+    "RadialModeId",
+    "chi_zero",
     "TridiagSym",
     "ZernikeCoeffs",
     "NumericalError",
@@ -49,6 +50,14 @@ class NumericalError(RuntimeError):
     """An iterative numerical procedure failed to converge."""
 
 
+def _check_order(p: int, N: int) -> None:
+    # the dimension parameter and, on the interval, its two angular orders
+    if p < -1:
+        raise ValueError(f"p must be >= -1, got {p}")
+    if p == -1 and N not in (0, 1):
+        raise ValueError(f"for p=-1 the angular order must be 0 or 1, got N={N}")
+
+
 @dataclass(frozen=True)
 class ProlateChannel:
     """Radial channel: dimension parameter p, band limit c, angular order N."""
@@ -58,14 +67,11 @@ class ProlateChannel:
     N: int
 
     def __post_init__(self):
-        if self.p < -1:
-            raise ValueError(f"p must be >= -1, got {self.p}")
         if not self.c > 0.0:
             raise ValueError(f"band limit must be positive, got {self.c}")
         if self.N < 0:
             raise ValueError(f"angular order must be nonnegative, got {self.N}")
-        if self.p == -1 and self.N not in (0, 1):
-            raise ValueError(f"for p=-1 the angular order must be 0 or 1, got N={self.N}")
+        _check_order(self.p, self.N)
 
     @property
     def alpha(self) -> float:
@@ -73,6 +79,34 @@ class ProlateChannel:
 
     def mode_id(self, n: int) -> RadialModeId:
         return RadialModeId(self.p, self.N, n)
+
+
+@dataclass(frozen=True)
+class RadialModeId:
+    """Identifier (p, N, n) of a radial mode on the unit ball in R^(p+2).
+
+    ``p >= -1`` is the dimension parameter, ``N`` the angular order and
+    ``n`` the radial mode index.  For p = -1 only N in {0, 1} exists.
+    """
+
+    p: int
+    N: int
+    n: int
+
+    def __post_init__(self):
+        if self.N < 0 or self.n < 0:
+            raise ValueError(f"N and n must be nonnegative, got N={self.N} n={self.n}")
+        _check_order(self.p, self.N)
+
+    @property
+    def alpha(self) -> float:
+        return self.N + self.p / 2.0
+
+
+def chi_zero(mode: RadialModeId) -> float:
+    """Zero-bandwidth eigenvalue ``(N+p/2+2n+1/2)(N+p/2+2n+3/2)``."""
+    s = mode.alpha + 2.0 * mode.n
+    return (s + 0.5) * (s + 1.5)
 
 
 @dataclass(frozen=True)
@@ -118,8 +152,7 @@ class ZernikeCoeffs:
         return eval_phi_deriv(self, r)
 
     def phi_at_one(self) -> float:
-        k = np.arange(len(self.coeffs))
-        return float(self.coeffs @ np.sqrt(2.0 * (2.0 * k + self.channel.alpha + 1.0)))
+        return float(self.coeffs @ _phi_one_weights(self.channel, len(self.coeffs)))
 
 
 def _diag_and_super(channel: ProlateChannel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,6 +211,7 @@ def choose_truncation(channel: ProlateChannel, nmax: int, eps: float) -> int:
 
 
 def _phi_one_weights(channel: ProlateChannel, K: int) -> np.ndarray:
+    # value at r = 1 of each orthonormal basis element: its scale sqrt(2(2k+alpha+1))
     k = np.arange(K)
     return np.sqrt(2.0 * (2.0 * k + channel.alpha + 1.0))
 

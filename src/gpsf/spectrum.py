@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prolate import NumericalError, ProlateChannel, ZernikeCoeffs, solve_channel
-from .special import RadialModeId
+from .prolate import NumericalError, ProlateChannel, RadialModeId, ZernikeCoeffs, solve_channel
 
 __all__ = [
     "EigenTriple",
@@ -160,8 +159,12 @@ def rphi_prime_coeffs(mode: ZernikeCoeffs) -> np.ndarray:
     coefficients are the converted derivative expansion minus
     (p+1)/2 times the mode's own coefficients.
     """
-    ch = mode.channel
-    return convert_rtprime(mode.coeffs, ch.N, ch.p) - (ch.p + 1) / 2.0 * mode.coeffs
+    return _rphi_prime(mode.coeffs, mode.channel.N, mode.channel.p)
+
+
+def _rphi_prime(A: np.ndarray, N: int, p: int) -> np.ndarray:
+    # r Phi' of the expansion in A, or of each of its rows (see rphi_prime_coeffs)
+    return convert_rtprime(A, N, p) - (p + 1) / 2.0 * A
 
 
 def pair_inner(coeffs_a: np.ndarray, coeffs_b: np.ndarray) -> float:
@@ -226,7 +229,7 @@ def _chain(channel: ProlateChannel, modes: list[ZernikeCoeffs], mu_stop: float) 
 
     out = [triple(0, beta_direct(modes[0]))]
     A = np.vstack([m.coeffs for m in modes])
-    X = convert_rtprime(A, N, p) - (p + 1) / 2.0 * A  # rphi_prime_coeffs of every mode
+    X = _rphi_prime(A, N, p)
     for n in range(len(modes) - 1):
         num = pair_inner(X[n], modes[n + 1].coeffs)
         den = pair_inner(X[n + 1], modes[n].coeffs)

@@ -15,11 +15,6 @@ import scipy.special
 mp.mp.dps = 40
 
 
-def jacobi_mp(alpha, n, x):
-    """Jacobi polynomial by mpmath's hypergeometric route."""
-    return mp.jacobi(n, mp.mpf(alpha), 0, mp.mpf(x))
-
-
 def zernike_explicit_mp(p, N, n, x):
     """Zernike radial polynomial by its explicit binomial sum."""
     x = mp.mpf(x)
@@ -34,10 +29,6 @@ def zernike_explicit_mp(p, N, n, x):
             * (1 - x * x) ** m
         )
     return x**N * total
-
-
-def bessel_mp(nu, x):
-    return mp.besselj(mp.mpf(nu), mp.mpf(x))
 
 
 def _legendre_and_deriv(n, x):

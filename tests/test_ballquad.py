@@ -232,3 +232,7 @@ class TestTruncationBound:
         b2 = gpsf.truncation_bound(0, 40.0, 40)
         assert b2 > 1e8 * b1
         assert gpsf.truncation_bound(0, 40.0, 80) < 1e-12
+
+    def test_term_past_the_float_range_gives_inf(self):
+        # the first terms at band limit 6000 exceed 1e308: the bound is inf, not an OverflowError
+        assert gpsf.truncation_bound(0, 6000.0, 2) == math.inf

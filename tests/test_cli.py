@@ -202,6 +202,19 @@ class TestInterpCommand:
         assert message in err
         assert err.count("\n") == 1
 
+    def test_band_limit_where_low_degree_bounds_overflow(self, capsys):
+        code, out, err = run_cli(["interp", "--p", "0", "--c", "400", "--x", "0.1,0.2",
+                                  "--Nmax", "2", "--nmax", "2"], capsys)
+        assert code == 0 and err == ""
+        rows = np.array([line.split(",") for line in out.strip().split("\n")[1:]], dtype=float)
+        assert rows.shape == (15, 6) and np.all(np.isfinite(rows))
+
+    def test_band_limit_past_the_angular_cap(self, capsys):
+        code, out, err = run_cli(["interp", "--p", "0", "--c", "1900", "--x", "0.1,0.2",
+                                  "--Nmax", "2", "--nmax", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "c=1900 needs an angular count above 10000" in err
+
 
 class TestSpectrumCheck:
     def test_disk_sum(self, capsys):

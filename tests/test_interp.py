@@ -189,6 +189,25 @@ class TestSamplingRuleSizes:
     def test_bisection_matches_linear_search(self, p, c):
         assert interp._angular_count(p, 2.0 * c, 1e-15) == _linear_angular_count(p, 2.0 * c)
 
+    @pytest.mark.parametrize("p, c, angular",
+                             [(p, c, m) for p in (0, 1) for c, m in ((400.0, 2202), (1000.0, 5464))])
+    def test_count_where_low_degree_bounds_overflow(self, p, c, angular):
+        # from c of about 379 the bounds at the first degrees of the search exceed the float range
+        assert interp._angular_count(p, 2.0 * c, 1e-15) == angular
+        assert gpsf.truncation_bound(p, 2.0 * c, angular // 2) <= 1e-15
+        assert gpsf.truncation_bound(p, 2.0 * c, angular // 2 - 1) > 1e-15
+
+    @pytest.mark.parametrize("c", [1900.0, 2500.0])
+    def test_count_past_the_cap_raises(self, monkeypatch, c):
+        # at c=1900 the bound at degree 5000 is 5.1e136, at c >= 2000 it is inf: no rule is built
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute started before the request was checked")
+
+        for name in ("beta_chain", "gaussian_rule", "angular_rule_from_count"):
+            monkeypatch.setattr(interp, name, no_compute)
+        with pytest.raises(ValueError, match=f"c={c:g} needs an angular count above 10000"):
+            gpsf.sampling_rule(0, c)
+
 
 # (p, c, radial count, angular count, Nmax, nmax, use_fft): the FFT path on
 # the disk and the per-node path in every dimension

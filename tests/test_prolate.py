@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gpsf
-from gpsf.prolate import ProlateChannel, mode_from_json, mode_to_json
+from gpsf.prolate import ProlateChannel, RadialModeId, mode_from_json, mode_to_json
 
 import oracles
 
@@ -224,6 +224,18 @@ class TestSerialization:
         assert np.array_equal(back.coeffs, mode.coeffs)
 
 
+class TestChiZero:
+    def test_base_case(self):
+        assert gpsf.chi_zero(RadialModeId(0, 0, 0)) == 0.75
+
+    def test_direct_substitution(self):
+        assert gpsf.chi_zero(RadialModeId(1, 2, 1)) == pytest.approx(30.0, abs=0.0)
+
+    def test_monotone_in_n(self):
+        vals = [gpsf.chi_zero(RadialModeId(1, 3, n)) for n in range(12)]
+        assert np.all(np.diff(vals) > 0.0)
+
+
 class TestValidation:
     def test_channel_invariants(self):
         with pytest.raises(ValueError):
@@ -232,3 +244,16 @@ class TestValidation:
             ProlateChannel(-1, 10.0, 2)
         with pytest.raises(ValueError):
             ProlateChannel(-2, 10.0, 0)
+
+    def test_invalid_alpha(self):
+        # alpha = N + p/2 = -1 would make the weight r^(2 alpha + 1) non-integrable
+        with pytest.raises(ValueError):
+            RadialModeId(-2, 0, 3)
+
+    @pytest.mark.parametrize("p, N", [(-2, 0), (-1, 2)])
+    def test_channel_and_mode_share_one_check(self, p, N):
+        with pytest.raises(ValueError) as channel_error:
+            ProlateChannel(p, 10.0, N)
+        with pytest.raises(ValueError) as mode_error:
+            RadialModeId(p, N, 0)
+        assert str(channel_error.value) == str(mode_error.value)

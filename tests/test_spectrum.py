@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_jacobi
 
 import gpsf
 from gpsf.prolate import ProlateChannel
@@ -59,7 +60,7 @@ class TestConvertRtprime:
         out = gpsf.convert_rtprime(x, N, p)
         rr = np.linspace(0.05, 0.97, 50)
         lhs = rr * _tbar_deriv(p, N, j, rr)
-        rhs = sum(out[m] * gpsf.tbar(gpsf.RadialModeId(p, N, m), rr) for m in range(K))
+        rhs = sum(out[m] * _tbar(p, N, m, rr) for m in range(K))
         scale = np.max(np.abs(lhs)) + 1.0
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
 
@@ -70,23 +71,29 @@ class TestConvertRtprime:
         x = rng.normal(size=K)
         out = gpsf.convert_rtprime(x, N, p)
         rr = np.linspace(1e-3, 1.0 - 1e-3, 600)
-        target = sum(out[m] * gpsf.tbar(gpsf.RadialModeId(p, N, m), rr) for m in range(K))
+        target = sum(out[m] * _tbar(p, N, m, rr) for m in range(K))
         basis = np.vstack([rr * _tbar_deriv(p, N, j, rr) for j in range(K)])
         sol, *_ = np.linalg.lstsq(basis.T, target, rcond=None)
         assert np.max(np.abs(sol - x)) <= 1e-10
 
 
+def _tbar(p, N, n, rr):
+    # r^((p+1)/2) times the orthonormal radial polynomial of mode n: scipy's
+    # P_n^(alpha,0) at 1-2r^2 times the closed-form prefactor
+    al = N + p / 2.0
+    pref = (-1.0) ** n * math.sqrt(2.0 * (2.0 * n + al + 1.0))
+    return pref * rr ** (N + (p + 1) / 2.0) * eval_jacobi(n, al, 0.0, 1.0 - 2.0 * rr * rr)
+
+
 def _tbar_deriv(p, N, n, rr):
-    # d/dr [ r^(N+(p+1)/2) * (-1)^n * norm * P_n(1-2r^2) ]
-    mode = gpsf.RadialModeId(p, N, n)
-    par = gpsf.JacobiParam(mode.alpha, n)
+    # d/dr [ r^(N+(p+1)/2) * (-1)^n * norm * P_n(1-2r^2) ], with
+    # d/dy P_n^(alpha,0) = (n+alpha+1)/2 P_{n-1}^(alpha+1,1)
+    al = N + p / 2.0
     y = 1.0 - 2.0 * rr * rr
     e = N + (p + 1) / 2.0
-    pref = (-1.0) ** n * gpsf.zernike_radial_norm(mode)
-    return pref * (
-        e * rr ** (e - 1.0) * gpsf.jacobi_p(par, y)
-        + rr**e * gpsf.jacobi_p_deriv(par, y) * (-4.0 * rr)
-    )
+    pref = (-1.0) ** n * math.sqrt(2.0 * (2.0 * n + al + 1.0))
+    dp = (n + al + 1.0) / 2.0 * eval_jacobi(n - 1, al + 1.0, 1.0, y) if n > 0 else 0.0 * y
+    return pref * (e * rr ** (e - 1.0) * eval_jacobi(n, al, 0.0, y) + rr**e * dp * (-4.0 * rr))
 
 
 class TestChainIntegrals:
