@@ -1,91 +1,58 @@
+"""Radial special functions, read off the rows of the one library recurrence.
+
+The Zernike radial polynomials, their weighted (orthonormal) form and the
+Jacobi polynomials P_n^(alpha,0) with their derivatives are all taken from
+kernels.rbar_basis and kernels.rbar_basis_with_deriv, and checked against
+closed forms, scipy and extended-precision oracles.
+"""
+
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import eval_jacobi
 
-import gpsf
-from gpsf.special import JacobiParam, RadialModeId
+from gpsf import kernels
 
 import oracles
 
 
-class TestJacobi:
-    def test_degree_zero_is_one(self):
-        assert gpsf.jacobi_p(JacobiParam(2.0, 0), 0.37) == 1.0
-
-    def test_degree_one_value(self):
-        # (alpha + (alpha+2) x) / 2 at alpha=2, x=0.5
-        assert gpsf.jacobi_p(JacobiParam(2.0, 1), 0.5) == pytest.approx(2.0, abs=0.0)
-
-    def test_against_series_oracle(self):
-        # frozen from the 40-digit evaluation
-        expected = 0.28012660762596130371
-        got = gpsf.jacobi_p(JacobiParam(1.5, 7), 0.3)
-        assert got == pytest.approx(expected, rel=1e-13)
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            JacobiParam(-1.0, 3)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        al=st.floats(-0.9, 8.0),
-        n=st.integers(2, 25),
-        x=st.floats(-1.0, 1.0),
-    )
-    def test_three_term_identity(self, al, n, x):
-        # a1 P_{n+1} = (a2 + a3 x) P_n - a4 P_{n-1}
-        a1 = 2.0 * (n + 1.0) * (n + al + 1.0) * (2.0 * n + al)
-        a2 = (2.0 * n + al + 1.0) * al * al
-        a3 = (2.0 * n + al) * (2.0 * n + al + 1.0) * (2.0 * n + al + 2.0)
-        a4 = 2.0 * (n + al) * n * (2.0 * n + al + 2.0)
-        lhs = a1 * gpsf.jacobi_p(JacobiParam(al, n + 1), x)
-        rhs = (a2 + a3 * x) * gpsf.jacobi_p(JacobiParam(al, n), x) - a4 * gpsf.jacobi_p(
-            JacobiParam(al, n - 1), x
-        )
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        assert abs(lhs - rhs) <= 1e-12 * scale
+def _zernike_rows(p, N, K, r):
+    # rows of rbar_basis over the orthonormal scale sqrt(2(2k+alpha+1)): the
+    # Zernike radial polynomials R_{N,k}(r) = (-1)^k P_k^(alpha,0)(1-2r^2) r^N, R(1) = 1
+    al = N + p / 2.0
+    scale = np.sqrt(2.0 * (2.0 * np.arange(K) + al + 1.0))
+    return kernels.rbar_basis(al, N, K, np.atleast_1d(np.asarray(r, dtype=float))) / scale[:, None]
 
 
-class TestJacobiDeriv:
-    def test_degree_zero(self):
-        assert gpsf.jacobi_p_deriv(JacobiParam(3.0, 0), 0.7) == 0.0
-
-    def test_degree_one(self):
-        assert gpsf.jacobi_p_deriv(JacobiParam(3.0, 1), -0.2) == 2.5
-
-    def test_finite_difference(self):
-        par = JacobiParam(1.0, 5)
-        h = 1e-6
-        fd = (gpsf.jacobi_p(par, 0.2 + h) - gpsf.jacobi_p(par, 0.2 - h)) / (2.0 * h)
-        assert gpsf.jacobi_p_deriv(par, 0.2) == pytest.approx(fd, rel=1e-8)
-
-    @settings(max_examples=20, deadline=None)
-    @given(al=st.floats(-0.5, 6.0), n=st.integers(1, 15), x=st.floats(-0.8, 0.8))
-    def test_finite_difference_property(self, al, n, x):
-        par = JacobiParam(al, n)
-        h = 1e-6
-        fd = (gpsf.jacobi_p(par, x + h) - gpsf.jacobi_p(par, x - h)) / (2.0 * h)
-        d = gpsf.jacobi_p_deriv(par, x)
-        if abs(d) > 1e-3:  # away from extrema
-            assert d == pytest.approx(fd, rel=1e-7)
+def _jacobi_rows(alpha, K, y, deriv=False):
+    # P_k^(alpha,0), or with deriv its d/dy, for k < K from the N = 0 basis at r = sqrt((1-y)/2),
+    # using dB/dr = scale P'(1-2r^2) (-4r); also returns 1 - 2r^2, the argument the basis used
+    r = np.sqrt((1.0 - np.atleast_1d(np.asarray(y, dtype=float))) / 2.0)
+    k = np.arange(K)
+    scale = (np.sqrt(2.0 * (2.0 * k + alpha + 1.0)) * (-1.0) ** k)[:, None]
+    rows = (kernels.rbar_basis_with_deriv(alpha, 0, K, r)[1] / (scale * (-4.0 * r)) if deriv
+            else kernels.rbar_basis(alpha, 0, K, r) / scale)
+    return rows, 1.0 - 2.0 * r * r
 
 
 class TestZernikeRadial:
+    """The basis rows against closed forms and an explicit-sum oracle."""
+
     @pytest.mark.parametrize("p,N,n", [(0, 0, 4), (0, 3, 2), (1, 2, 5), (-1, 1, 3), (2, 5, 1)])
     def test_value_at_one(self, p, N, n):
-        assert gpsf.zernike_radial(RadialModeId(p, N, n), 1.0) == pytest.approx(1.0, rel=1e-13)
+        assert _zernike_rows(p, N, n + 1, 1.0)[n, 0] == pytest.approx(1.0, rel=1e-13)
 
     def test_interval_case_is_legendre(self):
         # p=-1, N=0: the radial polynomial of mode n is the Legendre
         # polynomial of degree 2n
-        got = gpsf.zernike_radial(RadialModeId(-1, 0, 3), 0.6)
+        got = _zernike_rows(-1, 0, 4, 0.6)[3, 0]
         assert got == pytest.approx(0.172096, rel=1e-14)
 
     def test_pure_power_mode(self):
-        assert gpsf.zernike_radial(RadialModeId(0, 4, 0), 0.5) == pytest.approx(0.0625, abs=1e-16)
+        assert _zernike_rows(0, 4, 1, 0.5)[0, 0] == pytest.approx(0.0625, abs=1e-16)
 
     def test_against_explicit_sum(self):
         rng = np.random.default_rng(7)
@@ -96,15 +63,13 @@ class TestZernikeRadial:
                 if 2 * n + N > 30:
                     continue
                 x = float(rng.uniform(0.05, 0.98))
-                ours = gpsf.zernike_radial(RadialModeId(p, N, n), x)
+                ours = _zernike_rows(p, N, n + 1, x)[n, 0]
                 ref = float(oracles.zernike_explicit_mp(p, N, n, x))
                 assert ours == pytest.approx(ref, rel=1e-12)
 
     def test_orthogonality(self):
         # with the orthonormal scaling, the Gram matrix over weight
         # x^(p+1) is the identity
-        from gpsf import kernels
-
         x, w = oracles.gauss_legendre_01(400)
         # every Gram entry has degree <= 83, integrated exactly by 400 points,
         # so the residual measures only round-off in the basis
@@ -117,82 +82,95 @@ class TestZernikeRadial:
                 assert np.max(np.abs(gram - np.eye(16))) < 1e-12
 
 
-class TestGaussLegendreOracle:
-    # the reference rule behind every brute-force integral in the suite;
-    # leggauss misses both bounds (moments 1.3e-14, weights 1.1e-15)
-    def test_moments_exact_to_round_off(self):
-        x, w = oracles.gauss_legendre_01(400)
-        k = np.arange(800)
-        moments = (x ** k[:, None]) @ w
-        assert np.max(np.abs(moments - 1.0 / (k + 1))) <= 1e-15
-
-    def test_against_extended_precision(self):
-        x, w = oracles.gauss_legendre_01(64)
-        xr, wr = oracles.gauss_legendre_01_mp(64)
-        assert np.max(np.abs(x - np.array(xr, dtype=float))) <= 2e-16
-        assert np.max(np.abs(w - np.array(wr, dtype=float))) <= 2e-16
-
-
 class TestTbar:
-    def test_unit_norm(self):
-        mode = RadialModeId(0, 3, 2)
-        x, w = oracles.gauss_legendre_01(200)
-        val = float(np.sum(w * gpsf.tbar(mode, x) ** 2))
-        assert val == pytest.approx(1.0, abs=1e-13)
+    """r^((p+1)/2) times a basis row: the weighted radial function."""
 
-    def test_value_at_one(self):
-        # prefactor sqrt(2(2n+N+p/2+1)) at r=1
-        got = gpsf.tbar(RadialModeId(1, 2, 5), 1.0)
-        assert got == pytest.approx(math.sqrt(27.0), rel=1e-14)
+    def test_unit_norm(self):
+        # r^((p+1)/2) times a row is orthonormal with unit weight
+        x, w = oracles.gauss_legendre_01(200)
+        row = kernels.rbar_basis(3.0, 3, 3, x)[2] * x ** 0.5
+        assert float(np.sum(w * row**2)) == pytest.approx(1.0, abs=1e-13)
 
     def test_two_routes_agree(self):
+        # r^((p+1)/2) times a row against scipy's Jacobi polynomial times the closed-form prefactor
         rng = np.random.default_rng(3)
         for _ in range(20):
             N = int(rng.integers(0, 6))
             n = int(rng.integers(0, 10))
             p = int(rng.integers(0, 3))
             r = float(rng.uniform(0.02, 0.99))
-            mode = RadialModeId(p, N, n)
-            direct = gpsf.zernike_radial_norm(mode) * r ** ((p + 1) / 2.0) * gpsf.zernike_radial(
-                mode, r
-            )
-            assert gpsf.tbar(mode, r) == pytest.approx(direct, rel=1e-13)
+            al = N + p / 2.0
+            row = kernels.rbar_basis(al, N, n + 1, np.array([r]))[n, 0] * r ** ((p + 1) / 2.0)
+            ref = ((-1.0) ** n * math.sqrt(2.0 * (2.0 * n + al + 1.0)) * r ** (N + (p + 1) / 2.0)
+                   * eval_jacobi(n, al, 0.0, 1.0 - 2.0 * r * r))
+            assert row == pytest.approx(ref, rel=1e-13)
+
+    def test_value_at_one(self):
+        # the scale sqrt(2(2n+N+p/2+1)) at r=1, for (p, N, n) = (1, 2, 5)
+        got = kernels.rbar_basis(2.5, 2, 6, np.array([1.0]))[5, 0]
+        assert got == pytest.approx(math.sqrt(27.0), rel=1e-14)
 
 
-class TestBessel:
-    def test_half_integer_closed_form(self):
-        x = 1.3
-        ref = math.sqrt(2.0 / (math.pi * x)) * math.sin(x)
-        assert gpsf.bessel_j(0.5, x) == pytest.approx(ref, rel=1e-13)
+class TestJacobi:
+    """P_n^(alpha,0) read off the N = 0 basis rows."""
 
-    def test_small_argument_bound(self):
-        # |J_nu(x)| <= (x/2)^nu / Gamma(nu+1) on [0, 1]
-        assert abs(gpsf.bessel_j(3.0, 0.8)) <= 0.4**3 / math.gamma(4.0)
+    def test_degree_zero_is_one(self):
+        assert _jacobi_rows(2.0, 1, 0.37)[0][0, 0] == 1.0
 
-    def test_large_argument_oracle(self):
-        assert gpsf.bessel_j(1.0, 10.0) == pytest.approx(0.04347274616886143667, rel=1e-12)
+    def test_degree_one_value(self):
+        # (alpha + (alpha+2) y) / 2 at alpha=2, y=0.5
+        assert _jacobi_rows(2.0, 2, 0.5)[0][1, 0] == pytest.approx(2.0, abs=0.0)
 
-    def test_branch_seam(self):
-        for nu in (0.0, 1.0, 2.5, 7.0):
-            seam = max(12.0, 2.0 * nu)
-            for x in (seam * (1.0 - 1e-9), seam * (1.0 + 1e-9)):
-                ref = float(oracles.bessel_mp(nu, x))
-                assert gpsf.bessel_j(nu, x) == pytest.approx(ref, rel=1e-13)
+    def test_against_series_oracle(self):
+        # frozen from the 40-digit evaluation
+        expected = 0.28012660762596130371
+        got = _jacobi_rows(1.5, 8, 0.3)[0][7, 0]
+        assert got == pytest.approx(expected, rel=1e-13)
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            gpsf.bessel_j(-0.75, 1.0)
-        with pytest.raises(ValueError):
-            gpsf.bessel_j(1.0, -1.0)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        al=st.floats(-0.9, 8.0),
+        n=st.integers(2, 25),
+        x=st.floats(-1.0, 1.0),
+    )
+    def test_three_term_identity(self, al, n, x):
+        # a1 P_{n+1} = (a2 + a3 y) P_n - a4 P_{n-1}, at the argument the basis used
+        P, y = _jacobi_rows(al, n + 2, x)
+        y = float(y[0])
+        a1 = 2.0 * (n + 1.0) * (n + al + 1.0) * (2.0 * n + al)
+        a2 = (2.0 * n + al + 1.0) * al * al
+        a3 = (2.0 * n + al) * (2.0 * n + al + 1.0) * (2.0 * n + al + 2.0)
+        a4 = 2.0 * (n + al) * n * (2.0 * n + al + 2.0)
+        lhs = a1 * P[n + 1, 0]
+        rhs = (a2 + a3 * y) * P[n, 0] - a4 * P[n - 1, 0]
+        scale = max(abs(lhs), abs(rhs), 1.0)
+        assert abs(lhs - rhs) <= 1e-12 * scale
 
 
-class TestChiZero:
-    def test_base_case(self):
-        assert gpsf.chi_zero(RadialModeId(0, 0, 0)) == 0.75
+class TestJacobiDeriv:
+    """dB/dr of rbar_basis_with_deriv: closed forms and finite differences of P_n^(alpha,0)."""
 
-    def test_direct_substitution(self):
-        assert gpsf.chi_zero(RadialModeId(1, 2, 1)) == pytest.approx(30.0, abs=0.0)
+    def test_degree_zero(self):
+        # the constant row has zero derivative
+        assert _jacobi_rows(3.0, 1, 0.7, deriv=True)[0][0, 0] == 0.0
 
-    def test_monotone_in_n(self):
-        vals = [gpsf.chi_zero(RadialModeId(1, 3, n)) for n in range(12)]
-        assert np.all(np.diff(vals) > 0.0)
+    def test_degree_one(self):
+        # dB_1/dr = -sqrt(2(alpha+3)) (alpha+2)/2 (-4r) at alpha=3, r=0.5
+        _, D = kernels.rbar_basis_with_deriv(3.0, 0, 2, np.array([0.5]))
+        assert D[1, 0] == -math.sqrt(12.0) * (2.5 * (-4.0 * 0.5))
+
+    def test_finite_difference(self):
+        h = 1e-6
+        P = _jacobi_rows(1.0, 6, [0.2 - h, 0.2 + h])[0][5]
+        fd = (P[1] - P[0]) / (2.0 * h)
+        assert _jacobi_rows(1.0, 6, 0.2, deriv=True)[0][5, 0] == pytest.approx(fd, rel=1e-8)
+
+    @settings(max_examples=20, deadline=None)
+    @given(al=st.floats(-0.5, 6.0), n=st.integers(1, 15), x=st.floats(-0.8, 0.8))
+    def test_finite_difference_property(self, al, n, x):
+        h = 1e-6
+        P = _jacobi_rows(al, n + 1, [x - h, x + h])[0][n]
+        fd = (P[1] - P[0]) / (2.0 * h)
+        d = _jacobi_rows(al, n + 1, x, deriv=True)[0][n, 0]
+        if abs(d) > 1e-3:  # away from extrema
+            assert d == pytest.approx(fd, rel=1e-7)
