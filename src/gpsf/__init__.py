@@ -9,6 +9,7 @@ from .ballquad import (
     AngularRule,
     BallRule,
     angular_rule,
+    angular_node_count,
     angular_rule_from_count,
     ball_volume,
     integrate_exponential,

@@ -23,6 +23,7 @@ __all__ = [
     "BallRule",
     "angular_rule",
     "angular_rule_from_count",
+    "angular_node_count",
     "tensor_rule",
     "integrate_exponential",
     "truncation_bound",
@@ -127,6 +128,13 @@ def angular_rule_from_count(p: int, m: int) -> AngularRule:
     if p == -1:
         return angular_rule(-1, 1)
     raise ValueError(f"angular rules exist for p in (-1, 0, 1), got {p}")
+
+
+def angular_node_count(p: int, m: int) -> int:
+    """Number of nodes of ``angular_rule_from_count(p, m)``, without building it."""
+    if p == -1:
+        return 2
+    return m if p == 0 else m * ((m + 1) // 2)
 
 
 def _circle_rule(m: int, degree: int) -> AngularRule:

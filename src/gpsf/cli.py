@@ -46,9 +46,12 @@ def _csv(rows, header) -> str:
 
 def _floats(text: str) -> list[float]:
     try:
-        return [float(t) for t in text.split(",") if t]
+        values = [float(t) for t in text.split(",") if t]
     except ValueError as exc:
         raise ValidationError(f"expected a comma-separated list of numbers, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"expected finite numbers, got {text!r}")
+    return values
 
 
 def _radial_spec(text: str):
@@ -73,12 +76,11 @@ def _closed_form_exponential(p: int, c: float, x: np.ndarray) -> complex:
 
 
 def _cmd_eval(args) -> None:
-    ch = ProlateChannel(args.p, args.c, args.N)
-    modes = solve_channel(ch, args.n, eps=args.eps)
     rr = np.asarray(_floats(args.r))
     if np.any((rr < 0.0) | (rr > 1.0)):
         raise ValidationError("radii must lie in [0, 1]")
-    mode = modes[args.n]
+    ch = ProlateChannel(args.p, args.c, args.N)
+    mode = solve_channel(ch, args.n, eps=args.eps)[args.n]
     phi = np.atleast_1d(eval_phi(mode, rr))
     dphi = np.atleast_1d(eval_phi_deriv(mode, rr))
     if args.format == "json":
@@ -162,6 +164,8 @@ def _cmd_interp(args) -> None:
                 f"sample file has {data.shape[1]} columns, expected {dim + 2} "
                 f"({dim} node coordinates, f_re, f_im)"
             )
+        if not np.all(np.isfinite(data)):
+            raise ValidationError("sample file holds non-finite values")
     rule = sampling_rule(args.p, args.c, radial_count=args.radial_count,
                          angular_count=args.angular_count)
     if args.x is None:
@@ -198,6 +202,7 @@ def _cmd_interp(args) -> None:
 
 
 def _cmd_spectrum_check(args) -> None:
+    ProlateChannel(args.p, args.c, 0)  # refuses a bad c before the default sizes are read from it
     nmax = args.nmax if args.nmax is not None else int(args.c) + 40
     Nmax = args.Nmax if args.Nmax is not None else int(args.c) + 40
     partial, closed = mu_sum_check(args.p, args.c, Nmax, nmax)

@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ballquad import BallRule, angular_rule_from_count, surface_harmonics, tensor_rule, truncation_bound
+from .ballquad import (
+    BallRule,
+    angular_node_count,
+    angular_rule_from_count,
+    surface_harmonics,
+    tensor_rule,
+    truncation_bound,
+)
 from .prolate import ProlateChannel, ZernikeCoeffs, eval_phi, solve_channel, tabulate
 from .quadrature import gaussian_rule
 from .spectrum import EigenTriple, beta_chain, harmonic_count
@@ -33,6 +40,7 @@ __all__ = [
 
 _RELIABLE_FLOOR = 1e-3 * np.finfo(float).eps
 _MAX_DEGREE = 5000  # highest angular degree of a sampling rule, whose angular count is twice it
+_MAX_NODES = 4_000_000  # most nodes of a sampling rule
 
 
 class ChannelCache:
@@ -87,17 +95,37 @@ def sampling_rule(
     plus ten); the angular count is the first for which the product
     truncation envelope falls below ``target``.  A band limit that no
     angular count up to 10000 serves raises ``ValueError`` before any
-    channel is solved.
+    channel is solved.  So does a rule of more than 4,000,000 nodes: its
+    size is checked before any channel is solved, with eleven radial nodes
+    (the fewest the default count gives) standing in for a radial count
+    still to be found, and checked again once that count is known, before
+    any rule is built.
     """
-    c2 = 2.0 * c
+    channel = ProlateChannel(p, 2.0 * c, 0)
     if angular_count is None:
-        angular_count = _angular_count(p, c2, target)
+        angular_count = _angular_count(p, channel.c, target)
+    # the default radial count is at least _default_radial_count(1)
+    _check_size(p, c, radial_count or _default_radial_count(1), angular_count)
     if radial_count is None:
         # significant radial modes end a little past the transition index
-        triples = beta_chain(ProlateChannel(p, c2, 0), int(c2 / 2) + 40, mu_stop=1e-18)
-        radial_count = math.ceil(len(triples) / 2.0) + 10
-    radial = gaussian_rule(ProlateChannel(p, c2, 0), radial_count)
+        triples = beta_chain(channel, int(channel.c / 2) + 40, mu_stop=1e-18)
+        radial_count = _default_radial_count(len(triples))
+        _check_size(p, c, radial_count, angular_count)
+    radial = gaussian_rule(channel, radial_count)
     return tensor_rule(radial, angular_rule_from_count(p, angular_count))
+
+
+def _default_radial_count(modes: int) -> int:
+    # half the significant modes of the doubled channel, plus ten
+    return math.ceil(modes / 2.0) + 10
+
+
+def _check_size(p: int, c: float, radial_count: int, angular_count: int) -> None:
+    count = radial_count * angular_node_count(p, angular_count)
+    if count > _MAX_NODES:
+        raise ValueError(f"sampling rule for p={p}, c={c:g} needs at least {count} nodes "
+                         f"({radial_count} radial, angular count {angular_count}), "
+                         f"above the limit of {_MAX_NODES}")
 
 
 def _angular_count(p: int, c2: float, target: float) -> int:

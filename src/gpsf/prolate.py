@@ -13,6 +13,7 @@ eigenproblem and evaluates Phi_{N,n} and its derivatives anywhere on
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -44,6 +45,7 @@ __all__ = [
 
 _SAFETY_MARGIN = 10  # extra basis functions beyond the decay bound
 _MAX_ENLARGEMENTS = 5  # truncation steps of 2 * _SAFETY_MARGIN before a solve gives up
+_SUPPORT_CUT = 1e-20  # coefficients at or below it are left out of evaluation
 
 
 class NumericalError(RuntimeError):
@@ -67,8 +69,8 @@ class ProlateChannel:
     N: int
 
     def __post_init__(self):
-        if not self.c > 0.0:
-            raise ValueError(f"band limit must be positive, got {self.c}")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"band limit must be positive and finite, got {self.c}")
         if self.N < 0:
             raise ValueError(f"angular order must be nonnegative, got {self.N}")
         _check_order(self.p, self.N)
@@ -133,7 +135,8 @@ class ZernikeCoeffs:
 
     ``coeffs[k]`` multiplies the orthonormal radial polynomial of degree
     N + 2k; the vector has unit Euclidean norm and its sign is fixed so
-    that Phi_{N,n}(1) > 0.
+    that Phi_{N,n}(1) > 0.  Evaluation reads only the first ``support``
+    coefficients; the full vector is kept for the eigenvalue series.
     """
 
     channel: ProlateChannel
@@ -153,6 +156,16 @@ class ZernikeCoeffs:
 
     def phi_at_one(self) -> float:
         return float(self.coeffs @ _phi_one_weights(self.channel, len(self.coeffs)))
+
+    @functools.cached_property
+    def support(self) -> int:
+        """Number of leading coefficients up to the last one above 1e-20 in magnitude.
+
+        The vector has unit norm, so the cut lies 1e5 below the 10 eps tail
+        that :func:`solve_channel` accepts; the whole vector when none is above it.
+        """
+        above = np.flatnonzero(np.abs(self.coeffs) > _SUPPORT_CUT)
+        return int(above[-1]) + 1 if len(above) else len(self.coeffs)
 
 
 def _diag_and_super(channel: ProlateChannel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,31 +286,33 @@ def tabulate(modes, r, deriv=False):
 
     ``modes`` is one ZernikeCoeffs or a sequence of modes of one channel;
     the table is A @ B, with A the coefficient vector or the stacked vectors
-    (one row per mode) and B the radial basis at ``r``.  With ``deriv`` it
-    is the pair (A @ B, A @ dB/dr).
+    (one row per mode) and B the radial basis at ``r``.  A and B stop at the
+    largest ``support`` among the modes.  With ``deriv`` it is the pair
+    (A @ B, A @ dB/dr).
     """
     single = isinstance(modes, ZernikeCoeffs)
     ch = modes.channel if single else modes[0].channel
     if not single and any(m.channel != ch for m in modes):
         raise ValueError("tabulated modes must share one channel")
-    A = modes.coeffs if single else np.vstack([m.coeffs for m in modes])
+    K = modes.support if single else max(m.support for m in modes)
+    A = modes.coeffs[:K] if single else np.vstack([m.coeffs[:K] for m in modes])
     r = _as_points(r)
     if deriv:
-        B, D = kernels.rbar_basis_with_deriv(ch.alpha, ch.N, A.shape[-1], r)
+        B, D = kernels.rbar_basis_with_deriv(ch.alpha, ch.N, K, r)
         return A @ B, A @ D
-    return A @ kernels.rbar_basis(ch.alpha, ch.N, A.shape[-1], r)
+    return A @ kernels.rbar_basis(ch.alpha, ch.N, K, r)
 
 
 def eval_phi_and_deriv(mode: ZernikeCoeffs, r):
     """(Phi_{N,n}, dPhi_{N,n}/dr) at radii in [0, 1].
 
     At a scalar radius this is one fused pass over the recurrence on plain
-    floats, with no basis matrix; at an array of radii the basis and its
-    derivative are tabulated once.
+    floats, over the mode's ``support``, with no basis matrix; at an array
+    of radii the basis and its derivative are tabulated once.
     """
     ch = mode.channel
     if np.ndim(r) == 0:
-        return kernels.phi_and_deriv(ch.alpha, ch.N, mode.coeffs.tolist(), r)
+        return kernels.phi_and_deriv(ch.alpha, ch.N, mode.coeffs[: mode.support].tolist(), r)
     return tabulate(mode, r, deriv=True)
 
 

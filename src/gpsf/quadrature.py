@@ -24,6 +24,7 @@ __all__ = ["QuadratureRule1D", "chebyshev_rule", "gaussian_rule", "rule_to_csv",
 
 _WEIGHT_RESIDUAL_TOL = 1e-10
 _HALVINGS_MAX = 40
+_STAGNATION_TOL = 1e3  # times eps * scale: below it Newton tries only the full step
 _NEWTON_SWEEPS = 60
 
 
@@ -90,15 +91,18 @@ def gaussian_rule(channel: ProlateChannel, n: int) -> QuadratureRule1D:
     """Gauss-type rule: n nodes/weights matching the first 2n modes.
 
     Starts from the half-band-limit interpolatory rule and runs Newton on
-    the 2n moment discrepancies, halving the step until the residual norm
-    decreases; iteration stops when the discrepancies reach the round-off
-    floor.
+    the 2n moment discrepancies d.  Iteration stops once max|d| reaches
+    20 eps times the largest moment.  Above the stagnation tolerance of
+    1e3 eps times that moment, a step that does not lower the 2-norm of d
+    is halved, up to 40 times; below it, at the round-off floor, only the
+    full step is tried, and the iteration stops when it fails.
 
     Raises
     ------
     NumericalError
-        On a singular Newton system, or if the iteration stagnates while
-        the discrepancies are still above tolerance.
+        On a singular Newton system, or if 40 halvings fail to lower the
+        residual while the discrepancies are still above the stagnation
+        tolerance.
     """
     if n < 1:
         raise ValueError("rule size must be at least 1")
@@ -111,15 +115,17 @@ def gaussian_rule(channel: ProlateChannel, n: int) -> QuadratureRule1D:
     modes = solve_channel(channel, 2 * n - 1)
     mom = _mode_moments(modes, channel.p)
     scale = max(float(np.max(np.abs(mom))), 1e-12)
+    eps = np.finfo(float).eps
 
     # The full Newton step is tabulated with the derivative and, when it is
     # accepted (nearly every sweep), carries its (P, D) into the next sweep.
-    # Halved steps, which mostly fail at the round-off floor, need only P.
+    # Halved steps need only P.
     P, D = tabulate(modes, r, deriv=True)
     d = mom - P @ w
     for _ in range(_NEWTON_SWEEPS):
         dnorm = float(np.linalg.norm(d))
-        if float(np.max(np.abs(d))) <= 20.0 * np.finfo(float).eps * scale:
+        dmax = float(np.max(np.abs(d)))
+        if dmax <= 20.0 * eps * scale:
             break
         if D is None:
             P, D = tabulate(modes, r, deriv=True)
@@ -128,8 +134,9 @@ def gaussian_rule(channel: ProlateChannel, n: int) -> QuadratureRule1D:
             x = np.linalg.solve(J, d)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular Newton system for gaussian rule n={n}") from exc
+        at_floor = dmax <= _STAGNATION_TOL * eps * scale
         step = 1.0
-        for _ in range(_HALVINGS_MAX):
+        for _ in range(1 if at_floor else _HALVINGS_MAX):
             rn = r + step * x[:n]
             wn = w + step * x[n:]
             Pn, Dn = tabulate(modes, rn, deriv=True) if step == 1.0 else (tabulate(modes, rn), None)
@@ -139,10 +146,8 @@ def gaussian_rule(channel: ProlateChannel, n: int) -> QuadratureRule1D:
                 break
             step /= 2.0
         else:
-            if float(np.max(np.abs(d))) > 1e3 * np.finfo(float).eps * scale:
-                raise NumericalError(
-                    f"gaussian rule n={n} stagnated; last residual {np.max(np.abs(d)):.3e}"
-                )
+            if not at_floor:
+                raise NumericalError(f"gaussian rule n={n} stagnated; last residual {dmax:.3e}")
             break
     order = np.argsort(r)
     return QuadratureRule1D(r[order], w[order], "gaussian", channel, 2 * n - 1)

@@ -5,7 +5,8 @@ equation phi'' + a(r) phi' + b(r) phi = 0 whose phase variable theta,
 defined by phi'/phi = sqrt(b) tan(theta), decreases monotonically through
 the oscillatory interval and passes pi/2 (mod pi) exactly at the roots.
 Marching r as a function of theta therefore steps from one root to the
-next; a Newton polish on Phi removes the marching error.
+next, by classical fourth-order Runge-Kutta at 12 steps per pi of phase;
+a Newton polish on Phi removes the marching error.
 """
 
 from __future__ import annotations
@@ -19,12 +20,30 @@ from .prolate import NumericalError, ZernikeCoeffs, eval_phi, eval_phi_and_deriv
 __all__ = ["find_roots", "pruefer_beta", "pruefer_beta_deriv", "pruefer_alpha"]
 
 _NEWTON_MAX = 30
-_RK_STEPS = 100  # per pi of phase, independent of n
+_RK_STEPS = 12  # RK4 steps per pi of phase, independent of n: 48 slope evaluations
 
 
 def pruefer_alpha(r: float) -> float:
     """First-order coefficient a(r) = -2r / (1 - r^2)."""
     return -2.0 * r / (1.0 - r * r)
+
+
+def _constants(mode: ZernikeCoeffs) -> tuple[float, float, float]:
+    # (1/4 - (N+p/2)^2, chi, c^2): all of the mode that the phase coefficients read
+    ch = mode.channel
+    return 0.25 - ch.alpha * ch.alpha, mode.chi, ch.c * ch.c
+
+
+def _beta_and_deriv(const: tuple[float, float, float], r: float) -> tuple[float, float]:
+    # b(r) and b'(r) from the mode constants of _constants
+    q, chi, c2 = const
+    r2 = r * r
+    omr = 1.0 - r2
+    b = q / (r2 * omr) + (chi - c2 * r2) / omr
+    db = q * (4.0 * r2 - 2.0) / (r2 * r * omr * omr) + (
+        -2.0 * c2 * r * omr + 2.0 * r * (chi - c2 * r2)
+    ) / (omr * omr)
+    return b, db
 
 
 def pruefer_beta(mode: ZernikeCoeffs, r: float) -> float:
@@ -33,32 +52,25 @@ def pruefer_beta(mode: ZernikeCoeffs, r: float) -> float:
     b(r) = (1/4 - (N+p/2)^2) / (r^2 (1-r^2)) + (chi - c^2 r^2) / (1-r^2).
     Positive b marks the oscillatory region.
     """
-    ch = mode.channel
-    nt = ch.alpha
-    r2 = r * r
-    omr = 1.0 - r2
-    return (0.25 - nt * nt) / (r2 * omr) + (mode.chi - ch.c * ch.c * r2) / omr
+    return _beta_and_deriv(_constants(mode), r)[0]
 
 
 def pruefer_beta_deriv(mode: ZernikeCoeffs, r: float) -> float:
     """Derivative of :func:`pruefer_beta` with respect to r."""
-    ch = mode.channel
-    nt = ch.alpha
-    c2 = ch.c * ch.c
-    r2 = r * r
-    omr = 1.0 - r2
-    return (0.25 - nt * nt) * (4.0 * r2 - 2.0) / (r2 * r * omr * omr) + (
-        -2.0 * c2 * r * omr + 2.0 * r * (mode.chi - c2 * r2)
-    ) / (omr * omr)
+    return _beta_and_deriv(_constants(mode), r)[1]
+
+
+def _slope(const: tuple[float, float, float], r: float, theta: float) -> float:
+    # d theta / dr from the mode constants of _constants
+    b, db = _beta_and_deriv(const, r)
+    if b <= 0.0:
+        b = 1e-30
+    return -math.sqrt(b) - (db / (4.0 * b) + pruefer_alpha(r) / 2.0) * math.sin(2.0 * theta)
 
 
 def _theta_slope(mode: ZernikeCoeffs, r: float, theta: float) -> float:
-    b = pruefer_beta(mode, r)
-    if b <= 0.0:
-        b = 1e-30
-    return -math.sqrt(b) - (
-        pruefer_beta_deriv(mode, r) / (4.0 * b) + pruefer_alpha(r) / 2.0
-    ) * math.sin(2.0 * theta)
+    """Phase slope d theta / dr of the mode at (r, theta)."""
+    return _slope(_constants(mode), r, theta)
 
 
 def _turning_point(mode: ZernikeCoeffs) -> float:
@@ -67,7 +79,7 @@ def _turning_point(mode: ZernikeCoeffs) -> float:
     if pruefer_beta(mode, hi) > 0.0:
         return 1.0
     grid = np.linspace(1e-6, hi, 512)
-    vals = np.array([pruefer_beta(mode, float(g)) for g in grid])
+    vals = _beta_and_deriv(_constants(mode), grid)[0]
     pos = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
     if len(pos) == 0:
         return 1.0
@@ -167,17 +179,22 @@ def _largest_root_taylor(mode: ZernikeCoeffs, x0: float):
     return root, its
 
 
-def _march_interval(mode: ZernikeCoeffs, r_start: float, x0: float) -> float:
-    """RK2 march of r(theta) across one pi of phase, starting at a root."""
+def _march_interval(const: tuple[float, float, float], r_start: float, x0: float) -> float:
+    """RK4 march of r(theta) across one pi of phase, starting at a root.
+
+    ``const`` holds the mode constants of :func:`_constants`; every stage
+    is clamped to [1e-9, x0].
+    """
     h = math.pi / _RK_STEPS
     r = r_start
     theta = math.pi / 2.0
     lo_guard = 1e-9
     for _ in range(_RK_STEPS):
-        k1 = 1.0 / _theta_slope(mode, r, theta)
-        rm = min(max(r + 0.5 * h * k1, lo_guard), x0)
-        k2 = 1.0 / _theta_slope(mode, rm, theta + 0.5 * h)
-        r = min(max(r + h * k2, lo_guard), x0)
+        k1 = 1.0 / _slope(const, r, theta)
+        k2 = 1.0 / _slope(const, min(max(r + 0.5 * h * k1, lo_guard), x0), theta + 0.5 * h)
+        k3 = 1.0 / _slope(const, min(max(r + 0.5 * h * k2, lo_guard), x0), theta + 0.5 * h)
+        k4 = 1.0 / _slope(const, min(max(r + h * k3, lo_guard), x0), theta + h)
+        r = min(max(r + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), lo_guard), x0)
         theta += h
     return r
 
@@ -193,7 +210,8 @@ def find_roots(
     the phase coefficient (or by local quadratic steps when chi falls
     below ``chi_threshold``, default 1/sqrt(c)); the remaining roots are
     reached by marching the phase equation one pi at a time with
-    second-order Runge-Kutta and polishing each landing with Newton.
+    classical fourth-order Runge-Kutta (12 steps, 48 slope evaluations)
+    and polishing each landing with Newton.
 
     ``diagnostics``, when given a list, receives one dict per root with
     the pre-polish marching error and Newton iteration count.
@@ -216,8 +234,9 @@ def find_roots(
     if diagnostics is not None:
         diagnostics.append({"root": r_top, "march_err": 0.0, "newton_iters": its})
     roots = [r_top]
+    const = _constants(mode)
     for _ in range(n - 1):
-        r_est = _march_interval(mode, roots[-1], x0)
+        r_est = _march_interval(const, roots[-1], x0)
         width = roots[-1] - r_est
         lo = max(r_est - 0.6 * abs(width), 1e-12)
         hi = min(r_est + 0.6 * abs(width), roots[-1] * (1.0 - 1e-12))

@@ -331,3 +331,57 @@ class TestExitCodes:
             capsys,
         )
         assert code == 2
+
+
+class TestNonFiniteRequests:
+    @pytest.mark.parametrize("args, message", [
+        (["eigs", "--p", "0", "--c", "inf", "--N", "0", "--nmax", "3"], "positive and finite"),
+        (["ball-integrate", "--p", "0", "--c", "inf", "--x", "0.1,0.2",
+          "--radial", "cheb:5", "--angular", "10"], "positive and finite"),
+        (["spectrum-check", "--p", "0", "--c", "inf"], "positive and finite"),
+        (["interp", "--p", "0", "--c", "inf", "--x", "0.1,0.2", "--Nmax", "1", "--nmax", "1"],
+         "positive and finite"),
+        (["ball-integrate", "--p", "0", "--c", "20", "--x=nan,0.1",
+          "--radial", "cheb:5", "--angular", "10"], "finite numbers"),
+        (["interp", "--p", "0", "--c", "10", "--x=nan,0.1", "--Nmax", "1", "--nmax", "1"],
+         "finite numbers"),
+        (["eval", "--p", "0", "--c", "20", "--N", "0", "--n", "3", "--r", "nan,0.5"],
+         "finite numbers"),
+    ])
+    def test_refused_before_compute(self, capsys, monkeypatch, args, message):
+        def no_compute(*a, **k):
+            raise AssertionError("compute started before the request was checked")
+
+        from gpsf import interp, prolate, spectrum
+
+        for module, names in ((cli, ("solve_channel", "chebyshev_rule", "gaussian_rule",
+                                     "mu_sum_check", "beta_chain")),
+                              (interp, ("beta_chain", "gaussian_rule", "_angular_count")),
+                              (prolate, ("solve_channel",)), (spectrum, ("solve_channel",))):
+            for name in names:
+                monkeypatch.setattr(module, name, no_compute)
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and message in err
+
+    def test_non_finite_sample_file(self, capsys, tmp_path):
+        import gpsf
+
+        rule = gpsf.sampling_rule(0, 10.0, radial_count=12, angular_count=40)
+        f = np.ones(rule.count)
+        f[3] = np.nan
+        path = tmp_path / "samples.csv"
+        np.savetxt(path, np.column_stack([rule.nodes(), f, np.zeros(rule.count)]),
+                   delimiter=",", header="x,y,f_re,f_im", comments="", fmt="%.17g")
+        code, out, err = run_cli(["interp", "--p", "0", "--c", "10", "--samples", str(path),
+                                  "--Nmax", "1", "--nmax", "1", "--radial-count", "12",
+                                  "--angular-count", "40"], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "non-finite" in err
+
+    def test_sampling_rule_over_the_node_limit(self, capsys):
+        # p=1, c=400: 2202 x 1101 angular nodes before any radial count
+        code, out, err = run_cli(["interp", "--p", "1", "--c", "400", "--x", "0.1,0.2,0.3",
+                                  "--Nmax", "1", "--nmax", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "above the limit of 4000000" in err

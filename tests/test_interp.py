@@ -411,3 +411,43 @@ class TestExport:
         assert d["p"] == 0 and d["c"] == 10.0
         assert d["modes"][0] == {"N": 0, "l": 1, "n": 0, "re": 1.0, "im": 0.0}
         assert d["modes"][1] == {"N": 1, "l": 2, "n": 3, "re": 0.25, "im": -0.5}
+
+
+class TestSamplingRuleSizeGuard:
+    @staticmethod
+    def _no_compute(monkeypatch):
+        from gpsf import prolate, spectrum
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute started before the rule size was checked")
+
+        for module in (prolate, spectrum):
+            monkeypatch.setattr(module, "solve_channel", no_compute)
+        for name in ("gaussian_rule", "angular_rule_from_count"):
+            monkeypatch.setattr(interp, name, no_compute)
+
+    @pytest.mark.parametrize("p, c, radial, angular", [
+        (1, 400.0, None, None),   # 2202 x 1101 angular nodes, times at least 11 radial
+        (0, 10.0, 1000, 5000),
+        (1, 10.0, 20, 1000),
+    ])
+    def test_refused_before_any_solve(self, monkeypatch, p, c, radial, angular):
+        self._no_compute(monkeypatch)
+        with pytest.raises(ValueError, match="above the limit of 4000000"):
+            gpsf.sampling_rule(p, c, radial_count=radial, angular_count=angular)
+
+    def test_refused_once_the_radial_count_is_known(self, monkeypatch):
+        # 11 x 300000 nodes pass the first check; the chain's 200 modes give 110 radial nodes
+        self._no_compute(monkeypatch)
+        monkeypatch.setattr(interp, "beta_chain", lambda *a, **k: [None] * 200)
+        with pytest.raises(ValueError, match="110 radial, angular count 300000"):
+            gpsf.sampling_rule(0, 10.0, angular_count=300000)
+
+    def test_limit_is_inclusive(self):
+        interp._check_size(0, 1.0, 400, 10000)
+        with pytest.raises(ValueError):
+            interp._check_size(0, 1.0, 400, 10001)
+
+    @pytest.mark.parametrize("p, m", [(-1, 7), (0, 1), (0, 40), (1, 1), (1, 30), (1, 31)])
+    def test_node_count_matches_the_built_rule(self, p, m):
+        assert gpsf.angular_node_count(p, m) == gpsf.angular_rule_from_count(p, m).count

@@ -257,3 +257,52 @@ class TestValidation:
         with pytest.raises(ValueError) as mode_error:
             RadialModeId(p, N, 0)
         assert str(channel_error.value) == str(mode_error.value)
+
+
+class TestSupport:
+    def test_tabulation_stops_at_the_widest_support(self, channels, monkeypatch):
+        # at c=1000 the solve keeps 1370 coefficients; the top mode needs about 600
+        from gpsf import kernels
+
+        modes = channels(0, 1000.0, 0, 399)[:400]
+        rows = []
+        real = kernels.rbar_basis
+
+        def counted(alpha, N, K, r):
+            rows.append(K)
+            return real(alpha, N, K, r)
+
+        monkeypatch.setattr(kernels, "rbar_basis", counted)
+        gpsf.prolate.tabulate(modes, np.linspace(0.0, 1.0, 5))
+        assert rows == [max(m.support for m in modes)]
+        assert rows[0] <= 620 < len(modes[0].coeffs)
+        for m in modes[::57]:
+            assert np.all(np.abs(m.coeffs[m.support:]) <= 1e-20) and abs(m.coeffs[m.support - 1]) > 1e-20
+
+    @pytest.mark.parametrize("p,c,N,n", [(0, 5.0, 40, 6), (0, 1000.0, 0, 399), (-1, 20.0, 1, 15)])
+    def test_trimmed_matches_full_length(self, channels, p, c, N, n):
+        # N >> c, c = 1000 and the interval's odd channel, on both evaluation paths
+        from gpsf import kernels
+
+        r = np.linspace(0.0, 1.0, 101)
+        for mode in channels(p, c, N, n)[: n + 1 : max(n // 4, 1)]:
+            alpha = mode.channel.alpha
+            B, D = kernels.rbar_basis_with_deriv(alpha, N, len(mode.coeffs), r)
+            full, dfull = mode.coeffs @ B, mode.coeffs @ D
+            tab, dtab = gpsf.eval_phi_and_deriv(mode, r)
+            scalar = np.array([gpsf.eval_phi_and_deriv(mode, float(x)) for x in r[::10]])
+            full_scalar = np.array(
+                [kernels.phi_and_deriv(alpha, N, mode.coeffs.tolist(), float(x)) for x in r[::10]]
+            )
+            bound, dbound = 4e-15 * np.max(np.abs(full)), 4e-15 * np.max(np.abs(dfull))
+            assert np.max(np.abs(tab - full)) <= bound
+            assert np.max(np.abs(scalar[:, 0] - full_scalar[:, 0])) <= bound
+            assert np.max(np.abs(dtab - dfull)) <= dbound
+            assert np.max(np.abs(scalar[:, 1] - full_scalar[:, 1])) <= dbound
+
+
+class TestNonFiniteBandLimit:
+    @pytest.mark.parametrize("c", [math.inf, math.nan, -math.inf])
+    def test_refused(self, c):
+        with pytest.raises(ValueError, match="band limit must be positive and finite"):
+            ProlateChannel(0, c, 0)

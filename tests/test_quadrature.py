@@ -5,7 +5,7 @@ import pytest
 
 import gpsf
 from gpsf import kernels, quadrature
-from gpsf.prolate import ProlateChannel
+from gpsf.prolate import NumericalError, ProlateChannel
 from gpsf.quadrature import rule_to_csv, rule_to_json
 
 
@@ -82,15 +82,18 @@ class TestGaussianRule:
 
 def _rebuilding_gaussian_rule(channel, n):
     """Newton loop that evaluates every trial point with a plain basis and
-    rebuilds (P, D) at the accepted point on the next sweep."""
+    rebuilds (P, D) at the accepted point on the next sweep.  Tables stop at
+    the last coefficient above 1e-20; at the round-off floor (max residual
+    within 1e3 eps of the scale) only the full step is tried."""
 
     def table(modes, r, deriv=False):
-        A = np.vstack([m.coeffs for m in modes])
+        K = max(int(np.flatnonzero(np.abs(m.coeffs) > 1e-20)[-1]) + 1 for m in modes)
+        A = np.vstack([m.coeffs[:K] for m in modes])
         ch = modes[0].channel
         if deriv:
-            B, D = kernels.rbar_basis_with_deriv(ch.alpha, ch.N, A.shape[1], r)
+            B, D = kernels.rbar_basis_with_deriv(ch.alpha, ch.N, K, r)
             return A @ B, A @ D
-        return A @ kernels.rbar_basis(ch.alpha, ch.N, A.shape[1], r)
+        return A @ kernels.rbar_basis(ch.alpha, ch.N, K, r)
 
     start = gpsf.chebyshev_rule(ProlateChannel(channel.p, channel.c / 2.0, 0), n)
     r, w = start.nodes.copy(), start.weights.copy()
@@ -100,12 +103,13 @@ def _rebuilding_gaussian_rule(channel, n):
     d = mom - table(modes, r) @ w
     for _ in range(60):
         dnorm = float(np.linalg.norm(d))
-        if float(np.max(np.abs(d))) <= 20.0 * np.finfo(float).eps * scale:
+        dmax = float(np.max(np.abs(d)))
+        if dmax <= 20.0 * np.finfo(float).eps * scale:
             break
         P, D = table(modes, r, deriv=True)
         x = np.linalg.solve(np.hstack([D * w[None, :], P]), d)
         step = 1.0
-        for _ in range(40):
+        for _ in range(1 if dmax <= 1e3 * np.finfo(float).eps * scale else 40):
             rn, wn = r + step * x[:n], w + step * x[n:]
             dn = mom - table(modes, rn) @ wn
             if float(np.linalg.norm(dn)) < dnorm:
@@ -119,8 +123,8 @@ def _rebuilding_gaussian_rule(channel, n):
 
 
 class TestGaussianNewtonTables:
-    # (0, 150, 34) accepts halved steps at the round-off floor and (1, 50, 18)
-    # ends on a sweep that exhausts its halvings
+    # (0, 150, 34) and (1, 50, 18) reach the round-off floor before the
+    # 20 eps stopping tolerance
     @pytest.mark.parametrize("p,c,n", [(0, 20.0, 14), (1, 50.0, 18), (0, 150.0, 34)])
     def test_rule_unchanged_and_fewer_builds(self, monkeypatch, p, c, n):
         ch = ProlateChannel(p, c, 0)
@@ -142,6 +146,37 @@ class TestGaussianNewtonTables:
         assert np.array_equal(rule.nodes, ref_nodes)
         assert np.array_equal(rule.weights, ref_weights)
         assert len(calls) < ref_builds
+
+
+def _gauss_tables(monkeypatch, n):
+    """Record the ``deriv`` flag of every table of the 2n Gauss modes."""
+    flags = []
+    real = quadrature.tabulate
+
+    def counted(modes, r, deriv=False):
+        if len(modes) == 2 * n:
+            flags.append(deriv)
+        return real(modes, r, deriv)
+
+    monkeypatch.setattr(quadrature, "tabulate", counted)
+    return flags
+
+
+class TestGaussianStopping:
+    def test_no_halved_step_at_the_floor(self, monkeypatch):
+        # this rule used to end on a sweep of 39 failed halved steps
+        flags = _gauss_tables(monkeypatch, 18)
+        gpsf.gaussian_rule(ProlateChannel(1, 50.0, 0), 18)
+        assert flags and all(flags)
+
+    def test_stagnation_above_the_floor_halves_then_raises(self, monkeypatch):
+        # an uphill Newton direction: the full step and 39 halvings fail
+        real = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda J, d: -real(J, d))
+        flags = _gauss_tables(monkeypatch, 10)
+        with pytest.raises(NumericalError, match="stagnated"):
+            gpsf.gaussian_rule(ProlateChannel(0, 20.0, 0), 10)
+        assert flags == [True, True] + [False] * 39
 
 
 class TestExports:

@@ -114,3 +114,39 @@ class TestRootErrors:
             _newton(mode, 0.5 * (roots[0] + roots[1]) + 0.4 * (roots[1] - roots[0]),
                     roots[0] + 0.6 * (roots[1] - roots[0]),
                     roots[1] - 0.1 * (roots[1] - roots[0]))
+
+
+class TestMarchCost:
+    def test_slope_evaluations_per_interval(self, channels, monkeypatch):
+        # RK4 at 12 steps per pi of phase: 48 slope evaluations per interval
+        from gpsf import roots
+
+        mode = channels(0, 20.0, 0, 14)[14]
+        calls = []
+        real = roots._slope
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(roots, "_slope", counted)
+        assert len(find_roots(mode)) == 14
+        assert len(calls) == 48 * 13
+
+
+class TestRootExtremes:
+    # c near 0, N >> c, the interval's odd channel and c = 1000
+    @pytest.mark.parametrize("p,c,N,n", [(0, 1e-3, 0, 10), (0, 5.0, 40, 6), (-1, 50.0, 1, 20),
+                                         (0, 1000.0, 0, 399)])
+    def test_count_and_residual_in_extended_precision(self, channels, p, c, N, n):
+        from oracles import phi_mp
+
+        mode = channels(p, c, N, n)[n]
+        roots = find_roots(mode)
+        assert len(roots) == n
+        eps = np.finfo(float).eps
+        picks = range(n) if n <= 20 else np.linspace(0, n - 1, 4).astype(int)
+        for i in picks:
+            r = float(roots[i])
+            # Phi / Phi' is the distance to the root of the extended-precision function
+            assert abs(float(phi_mp(mode, r)) / gpsf.eval_phi_deriv(mode, r)) <= 4.0 * eps
