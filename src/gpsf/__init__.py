@@ -8,7 +8,6 @@ eigenvalues, quadrature rules for band-limited functions, and expansion
 from .ballquad import (
     AngularRule,
     BallRule,
-    angular_rule,
     angular_node_count,
     angular_rule_from_count,
     ball_volume,
@@ -39,7 +38,6 @@ from .prolate import (
     eval_phi,
     eval_phi_and_deriv,
     eval_phi_deriv,
-    eval_phi_second_deriv,
     mode_from_json,
     mode_to_json,
     solve_channel,

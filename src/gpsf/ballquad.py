@@ -1,8 +1,9 @@
 """Tensor-product quadrature over the unit ball in R^(p+2), p in {-1,0,1}.
 
-The angular factor integrates surface harmonics exactly up to a requested
-degree (equispaced angles on the circle, Gauss-Legendre-by-equispaced
-products on the sphere, the two endpoints on the 0-sphere); combined with
+The angular factor with m equispaced angles integrates surface harmonics
+exactly up to degree m - 1 (equispaced angles on the circle,
+Gauss-Legendre-by-equispaced products on the sphere, the two endpoints on
+the 0-sphere); combined with
 a radial rule over weight r^(p+1) it integrates band-limited functions
 with super-exponential accuracy in the angular degree.
 """
@@ -18,12 +19,14 @@ from . import kernels
 from .quadrature import QuadratureRule1D
 from .spectrum import harmonic_count
 
+_MAX_NODES = 4_000_000  # most nodes of a ball rule that a request may build
+
 __all__ = [
     "AngularRule",
     "BallRule",
-    "angular_rule",
     "angular_rule_from_count",
     "angular_node_count",
+    "check_node_count",
     "tensor_rule",
     "integrate_exponential",
     "truncation_bound",
@@ -46,15 +49,11 @@ def ball_volume(p: int) -> float:
 
 @dataclass(frozen=True)
 class AngularRule:
-    """Nodes on S^(p+1) integrating surface harmonics up to ``degree``."""
+    """Nodes on S^(p+1) with their weights."""
 
     p: int
     points: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    degree: int
-    azimuths: np.ndarray | None = field(default=None, repr=False)
-    polar_nodes: np.ndarray | None = field(default=None, repr=False)
-    polar_weights: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def count(self) -> int:
@@ -91,43 +90,23 @@ class BallRule:
         return (self.radial.weights[:, None] * self.angular.weights[None, :]).reshape(-1)
 
 
-def angular_rule(p: int, K2: int) -> AngularRule:
-    """Angular rule on S^(p+1) exact for surface harmonics of degree <= K2.
-
-    p = 0: K2+1 equispaced angles with equal weights 2 pi / (K2+1).
-    p = 1: Gauss-Legendre in the polar cosine crossed with K2+1
-           equispaced azimuths.
-    p = -1: the two endpoints -1, +1 with unit weights.
-    """
-    if K2 < 0:
-        raise ValueError("angular degree must be nonnegative")
-    if p == 0:
-        return _circle_rule(K2 + 1, K2)
-    if p == 1:
-        return _sphere_rule(K2 + 1, K2)
-    if p == -1:
-        pts = np.array([[-1.0], [1.0]])
-        return AngularRule(-1, pts, np.array([1.0, 1.0]), K2)
-    raise ValueError(f"angular rules exist for p in (-1, 0, 1), got {p}")
-
-
 def angular_rule_from_count(p: int, m: int) -> AngularRule:
-    """Angular rule with a prescribed equispaced-angle count.
+    """Angular rule on S^(p+1) with m equispaced angles.
 
-    For p = 0 this is the m-point equal-weight circle rule; for p = 1, m
-    azimuths crossed with ceil(m/2) polar nodes.  p = -1 ignores m.
+    p = 0: the m-point equal-weight circle rule.
+    p = 1: m equispaced longitudes crossed with ceil(m/2) Gauss-Legendre
+           nodes in the polar cosine.
+    p = -1: the two endpoints -1, +1 with unit weights; m is ignored.
+    For p = 0 and 1 the rule integrates surface harmonics of degree up to
+    m - 1 exactly; the endpoint rule integrates both harmonics of p = -1.
     """
-    if p == 0:
-        if m < 1:
-            raise ValueError("angular count must be positive")
-        return _circle_rule(m, m - 1)
-    if p == 1:
-        if m < 1:
-            raise ValueError("angular count must be positive")
-        return _sphere_rule(m, m - 1)
     if p == -1:
-        return angular_rule(-1, 1)
-    raise ValueError(f"angular rules exist for p in (-1, 0, 1), got {p}")
+        return AngularRule(-1, np.array([[-1.0], [1.0]]), np.array([1.0, 1.0]))
+    if p not in (0, 1):
+        raise ValueError(f"angular rules exist for p in (-1, 0, 1), got {p}")
+    if m < 1:
+        raise ValueError("angular count must be positive")
+    return _circle_rule(m) if p == 0 else _sphere_rule(m)
 
 
 def angular_node_count(p: int, m: int) -> int:
@@ -137,11 +116,22 @@ def angular_node_count(p: int, m: int) -> int:
     return m if p == 0 else m * ((m + 1) // 2)
 
 
-def _circle_rule(m: int, degree: int) -> AngularRule:
+def check_node_count(what: str, p: int, radial_count: int, angular_count: int) -> None:
+    """Refuse a tensor rule of more than 4,000,000 nodes before it is built.
+
+    The rule has ``radial_count`` times ``angular_node_count(p,
+    angular_count)`` nodes; ``what`` names it in the ``ValueError``.
+    """
+    count = radial_count * angular_node_count(p, angular_count)
+    if count > _MAX_NODES:
+        raise ValueError(f"{what} needs at least {count} nodes ({radial_count} radial, "
+                         f"angular count {angular_count}), above the limit of {_MAX_NODES}")
+
+
+def _circle_rule(m: int) -> AngularRule:
     th = 2.0 * math.pi * np.arange(m) / m
     pts = np.column_stack([np.cos(th), np.sin(th)])
-    w = np.full(m, 2.0 * math.pi / m)
-    return AngularRule(0, pts, w, degree, azimuths=th)
+    return AngularRule(0, pts, np.full(m, 2.0 * math.pi / m))
 
 
 def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,8 +157,8 @@ def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
     return u, 2.0 / ((1.0 - u * u) * dp * dp)
 
 
-def _sphere_rule(m_azimuth: int, degree: int) -> AngularRule:
-    q = (degree + 2) // 2  # Gauss-Legendre exact through polynomial degree 2q-1 >= degree
+def _sphere_rule(m_azimuth: int) -> AngularRule:
+    q = (m_azimuth + 1) // 2  # Gauss-Legendre exact through polynomial degree 2q-1 >= m-1
     u, gw = _gauss_legendre(q)
     th = 2.0 * math.pi * np.arange(m_azimuth) / m_azimuth
     s = np.sqrt(1.0 - u * u)
@@ -180,9 +170,7 @@ def _sphere_rule(m_azimuth: int, degree: int) -> AngularRule:
         pts[sl, 1] = s[i] * np.sin(th)
         pts[sl, 2] = u[i]
         w[sl] = gw[i] * 2.0 * math.pi / m_azimuth
-    return AngularRule(
-        1, pts, w, degree, azimuths=th, polar_nodes=u, polar_weights=gw
-    )
+    return AngularRule(1, pts, w)
 
 
 def tensor_rule(radial: QuadratureRule1D, angular: AngularRule) -> BallRule:

@@ -8,6 +8,7 @@ marks a validation problem, 3 a numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 import scipy.special as sps
 
-from .ballquad import angular_rule_from_count, integrate_exponential, tensor_rule
+from .ballquad import angular_rule_from_count, check_node_count, integrate_exponential, tensor_rule
 from .interp import ChannelCache, recover_coeffs, sampling_rule
 from .prolate import NumericalError, ProlateChannel, eval_phi, eval_phi_deriv, solve_channel
 from .quadrature import chebyshev_rule, gaussian_rule, rule_to_csv, rule_to_json
@@ -35,6 +36,11 @@ def _emit(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write(args, header, rows, payload) -> None:
+    """Emit ``rows`` under ``header`` as CSV, or ``payload`` as JSON with --format json."""
+    _emit(args, json.dumps(payload) + "\n" if args.format == "json" else _csv(rows, header))
 
 
 def _csv(rows, header) -> str:
@@ -83,10 +89,8 @@ def _cmd_eval(args) -> None:
     mode = solve_channel(ch, args.n, eps=args.eps)[args.n]
     phi = np.atleast_1d(eval_phi(mode, rr))
     dphi = np.atleast_1d(eval_phi_deriv(mode, rr))
-    if args.format == "json":
-        _emit(args, json.dumps({"r": rr.tolist(), "phi": phi.tolist(), "dphi": dphi.tolist()}) + "\n")
-    else:
-        _emit(args, _csv(zip(rr, phi, dphi), ["r", "phi", "dphi"]))
+    _write(args, ["r", "phi", "dphi"], zip(rr, phi, dphi),
+           {"r": rr.tolist(), "phi": phi.tolist(), "dphi": dphi.tolist()})
 
 
 def _cmd_eigs(args) -> None:
@@ -97,31 +101,17 @@ def _cmd_eigs(args) -> None:
         (t.mode.n, modes[t.mode.n].chi, t.beta, t.lam.real, t.lam.imag, abs(t.lam), t.mu)
         for t in triples
     ]
-    if args.format == "json":
-        _emit(
-            args,
-            json.dumps(
-                [
-                    {"p": args.p, "c": args.c, "N": args.N, "n": r[0], "chi": r[1],
-                     "beta": r[2], "lambda_re": r[3], "lambda_im": r[4],
-                     "abs_lambda": r[5], "mu": r[6]}
-                    for r in rows
-                ]
-            ) + "\n",
-        )
-    else:
-        _emit(args, _csv(rows, ["n", "chi", "beta", "lambda_re", "lambda_im", "abs_lambda", "mu"]))
+    header = ["n", "chi", "beta", "lambda_re", "lambda_im", "abs_lambda", "mu"]
+    _write(args, header, rows,
+           [{"p": args.p, "c": args.c, "N": args.N, **dict(zip(header, r))} for r in rows])
 
 
 def _cmd_roots(args) -> None:
     ch = ProlateChannel(args.p, args.c, args.N)
     modes = solve_channel(ch, args.n, eps=args.eps)
     rr = find_roots(modes[args.n])
-    if args.format == "json":
-        _emit(args, json.dumps({"p": args.p, "c": args.c, "N": args.N, "n": args.n,
-                                "roots": rr.tolist()}) + "\n")
-    else:
-        _emit(args, _csv(((float(v),) for v in rr), ["root"]))
+    _write(args, ["root"], ((float(v),) for v in rr),
+           {"p": args.p, "c": args.c, "N": args.N, "n": args.n, "roots": rr.tolist()})
 
 
 def _cmd_quad(args, kind: str) -> None:
@@ -136,17 +126,15 @@ def _cmd_ball_integrate(args) -> None:
         raise ValidationError(f"--x needs {args.p + 2} coordinates for p={args.p}")
     kind, count = _radial_spec(args.radial)
     ch = ProlateChannel(args.p, args.c, 0)
+    check_node_count(f"ball rule for p={args.p}, c={args.c:g}", args.p, count, args.angular)
+    angular = angular_rule_from_count(args.p, args.angular)  # refuses a bad count before the solve
     radial = chebyshev_rule(ch, count) if kind == "cheb" else gaussian_rule(ch, count)
-    rule = tensor_rule(radial, angular_rule_from_count(args.p, args.angular))
+    rule = tensor_rule(radial, angular)
     val = integrate_exponential(rule, x, args.c)
     ref = _closed_form_exponential(args.p, args.c, x)
     rel = abs(val - ref) / abs(ref) if ref != 0 else float("nan")
-    if args.format == "json":
-        _emit(args, json.dumps({"value_re": val.real, "value_im": val.imag,
-                                "rel_err_vs_reference": rel}) + "\n")
-    else:
-        _emit(args, _csv([(val.real, val.imag, rel)],
-                         ["value_re", "value_im", "rel_err_vs_reference"]))
+    header, row = ["value_re", "value_im", "rel_err_vs_reference"], (val.real, val.imag, rel)
+    _write(args, header, [row], dict(zip(header, row)))
 
 
 def _cmd_interp(args) -> None:
@@ -189,16 +177,9 @@ def _cmd_interp(args) -> None:
         (N, ell, n, coeff.real, coeff.imag, abs(coeff))
         for (N, ell, n), coeff in sorted(exp.terms.items())
     ]
-    if args.format == "json":
-        _emit(
-            args,
-            json.dumps(
-                {"p": args.p, "c": args.c,
-                 "modes": [{"N": r[0], "l": r[1], "n": r[2], "re": r[3], "im": r[4]} for r in rows]}
-            ) + "\n",
-        )
-    else:
-        _emit(args, _csv(rows, ["N", "l", "n", "re", "im", "abs"]))
+    _write(args, ["N", "l", "n", "re", "im", "abs"], rows,
+           {"p": args.p, "c": args.c,
+            "modes": [{"N": r[0], "l": r[1], "n": r[2], "re": r[3], "im": r[4]} for r in rows]})
 
 
 def _cmd_spectrum_check(args) -> None:
@@ -206,27 +187,19 @@ def _cmd_spectrum_check(args) -> None:
     nmax = args.nmax if args.nmax is not None else int(args.c) + 40
     Nmax = args.Nmax if args.Nmax is not None else int(args.c) + 40
     partial, closed = mu_sum_check(args.p, args.c, Nmax, nmax)
-    if args.format == "json":
-        _emit(args, json.dumps({"partial_sum": partial, "closed_form": closed,
-                                "ratio": partial / closed}) + "\n")
-    else:
-        _emit(args, _csv([(partial, closed, partial / closed)],
-                         ["partial_sum", "closed_form", "ratio"]))
+    header, row = ["partial_sum", "closed_form", "ratio"], (partial, closed, partial / closed)
+    _write(args, header, [row], dict(zip(header, row)))
 
 
 def _cmd_figure_data(args) -> None:
     Ns = [int(v) for v in args.N.split(",") if v]
     chains = [beta_chain(ProlateChannel(args.p, args.c, N), args.nmax, eps=args.eps) for N in Ns]
-    rows = []
-    for N, chain in zip(Ns, chains):
-        for t in chain:
-            rows.append((N, t.mode.n + 1, abs(t.lam)))
-    if args.format == "json":
-        _emit(args, json.dumps([{"N": r[0], "i": r[1], "abs_lambda": r[2]} for r in rows]) + "\n")
-    else:
-        _emit(args, _csv(rows, ["N", "i", "abs_lambda"]))
+    rows = [(N, t.mode.n + 1, abs(t.lam)) for N, chain in zip(Ns, chains) for t in chain]
+    header = ["N", "i", "abs_lambda"]
+    _write(args, header, rows, [dict(zip(header, r)) for r in rows])
 
 
+@functools.cache  # one parser per process: main may be called many times in-process
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gpsf", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .ballquad import (
     BallRule,
-    angular_node_count,
     angular_rule_from_count,
+    check_node_count,
     surface_harmonics,
     tensor_rule,
     truncation_bound,
@@ -40,7 +40,6 @@ __all__ = [
 
 _RELIABLE_FLOOR = 1e-3 * np.finfo(float).eps
 _MAX_DEGREE = 5000  # highest angular degree of a sampling rule, whose angular count is twice it
-_MAX_NODES = 4_000_000  # most nodes of a sampling rule
 
 
 class ChannelCache:
@@ -105,12 +104,13 @@ def sampling_rule(
     if angular_count is None:
         angular_count = _angular_count(p, channel.c, target)
     # the default radial count is at least _default_radial_count(1)
-    _check_size(p, c, radial_count or _default_radial_count(1), angular_count)
+    what = f"sampling rule for p={p}, c={c:g}"
+    check_node_count(what, p, radial_count or _default_radial_count(1), angular_count)
     if radial_count is None:
         # significant radial modes end a little past the transition index
         triples = beta_chain(channel, int(channel.c / 2) + 40, mu_stop=1e-18)
         radial_count = _default_radial_count(len(triples))
-        _check_size(p, c, radial_count, angular_count)
+        check_node_count(what, p, radial_count, angular_count)
     radial = gaussian_rule(channel, radial_count)
     return tensor_rule(radial, angular_rule_from_count(p, angular_count))
 
@@ -118,14 +118,6 @@ def sampling_rule(
 def _default_radial_count(modes: int) -> int:
     # half the significant modes of the doubled channel, plus ten
     return math.ceil(modes / 2.0) + 10
-
-
-def _check_size(p: int, c: float, radial_count: int, angular_count: int) -> None:
-    count = radial_count * angular_node_count(p, angular_count)
-    if count > _MAX_NODES:
-        raise ValueError(f"sampling rule for p={p}, c={c:g} needs at least {count} nodes "
-                         f"({radial_count} radial, angular count {angular_count}), "
-                         f"above the limit of {_MAX_NODES}")
 
 
 def _angular_count(p: int, c2: float, target: float) -> int:

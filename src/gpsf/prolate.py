@@ -7,8 +7,8 @@ differential operator is an infinite symmetric tridiagonal matrix whose
 expansion coefficients decay exponentially once the Zernike degree passes
 e*c, so a finite section captures every mode to machine precision.  This
 module builds that matrix, truncates it using the decay bound, solves the
-eigenproblem and evaluates Phi_{N,n} and its derivatives anywhere on
-[0, 1].
+eigenproblem and evaluates Phi_{N,n} and its first derivative anywhere
+on [0, 1].
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "eval_phi",
     "eval_phi_deriv",
     "eval_phi_and_deriv",
-    "eval_phi_second_deriv",
     "mode_to_json",
     "mode_from_json",
 ]
@@ -46,6 +45,7 @@ __all__ = [
 _SAFETY_MARGIN = 10  # extra basis functions beyond the decay bound
 _MAX_ENLARGEMENTS = 5  # truncation steps of 2 * _SAFETY_MARGIN before a solve gives up
 _SUPPORT_CUT = 1e-20  # coefficients at or below it are left out of evaluation
+_MAX_TRUNCATION = 20_000  # most Zernike coefficients per mode: band limits up to about 14700
 
 
 class NumericalError(RuntimeError):
@@ -210,17 +210,22 @@ def choose_truncation(channel: ProlateChannel, nmax: int, eps: float) -> int:
     Picks the smallest K for which the coefficient-decay bound applies
     (N + 2K >= e*c) and the halving envelope (1/2)^(N+p/2+2K+1) falls
     below ``eps``, then adds a fixed safety margin and makes room for the
-    requested modes.
+    requested modes.  A K above 20000 raises ``ValueError``: that keeps
+    band limits up to about c = 14700 and nmax up to 19990.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    k_regime = max(0, math.ceil((math.e * channel.c - channel.N) / 2.0))
+    # clamped in floats first: e*c overflows at c = 1e308, and the clamp still fails the limit
+    k_regime = max(0, math.ceil(min((math.e * channel.c - channel.N) / 2.0, _MAX_TRUNCATION)))
     # (1/2)^(N+p/2+2k+1) < eps  <=>  (N+p/2+2k+1) ln 2 > -ln eps
     k_halving = max(0, math.ceil(((-math.log(eps) / math.log(2.0)) - channel.alpha - 1.0) / 2.0))
-    K = max(k_regime, k_halving) + _SAFETY_MARGIN
-    return max(K, nmax + _SAFETY_MARGIN)
+    K = max(k_regime, k_halving, nmax) + _SAFETY_MARGIN
+    if K > _MAX_TRUNCATION:
+        raise ValueError(f"{channel} with nmax={nmax} needs more than {_MAX_TRUNCATION} "
+                         "Zernike coefficients per mode")
+    return K
 
 
 def _phi_one_weights(channel: ProlateChannel, K: int) -> np.ndarray:
@@ -326,26 +331,6 @@ def eval_phi(mode: ZernikeCoeffs, r):
 def eval_phi_deriv(mode: ZernikeCoeffs, r):
     """Evaluate dPhi_{N,n}/dr, term-wise on the Zernike expansion."""
     return eval_phi_and_deriv(mode, r)[1]
-
-
-def eval_phi_second_deriv(mode: ZernikeCoeffs, r):
-    """Second derivative of Phi_{N,n} on (0, 1), from its differential equation.
-
-    Solving the equation for Phi'' avoids a second differentiated
-    recurrence:
-    x^2(1-x^2) Phi'' = -((p+1)x - (p+3)x^3) Phi'
-                       - (chi x^2 - (p+1)(p+3)x^2/4 - N(N+p) - c^2 x^4) Phi.
-    """
-    x = float(r) if np.ndim(r) == 0 else _as_points(r)
-    if np.any((x <= 0.0) | (x >= 1.0)):
-        raise ValueError("second derivative is evaluated on the open interval (0, 1)")
-    p, c, N = mode.channel.p, mode.channel.c, mode.channel.N
-    phi, dphi = eval_phi_and_deriv(mode, x)
-    x2 = x * x
-    num = -(((p + 1.0) * x - (p + 3.0) * x2 * x) * dphi) - (
-        mode.chi * x2 - 0.25 * (p + 1.0) * (p + 3.0) * x2 - N * (N + p) - c * c * x2 * x2
-    ) * phi
-    return num / (x2 * (1.0 - x2))
 
 
 def mode_to_json(mode: ZernikeCoeffs) -> str:

@@ -6,7 +6,9 @@ defined by phi'/phi = sqrt(b) tan(theta), decreases monotonically through
 the oscillatory interval and passes pi/2 (mod pi) exactly at the roots.
 Marching r as a function of theta therefore steps from one root to the
 next, by classical fourth-order Runge-Kutta at 12 steps per pi of phase;
-a Newton polish on Phi removes the marching error.
+a Newton polish on Phi removes the marching error.  The march starts at
+the largest root, which one path finds for every mode: a sign scan of Phi
+on Chebyshev-spaced points below the turning point, then Newton.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import math
 
 import numpy as np
 
-from .prolate import NumericalError, ZernikeCoeffs, eval_phi, eval_phi_and_deriv, eval_phi_second_deriv
+from .prolate import NumericalError, ZernikeCoeffs, eval_phi, eval_phi_and_deriv
 
-__all__ = ["find_roots", "pruefer_beta", "pruefer_beta_deriv", "pruefer_alpha"]
+__all__ = ["find_roots", "pruefer_beta", "pruefer_alpha"]
 
 _NEWTON_MAX = 30
 _RK_STEPS = 12  # RK4 steps per pi of phase, independent of n: 48 slope evaluations
@@ -55,22 +57,12 @@ def pruefer_beta(mode: ZernikeCoeffs, r: float) -> float:
     return _beta_and_deriv(_constants(mode), r)[0]
 
 
-def pruefer_beta_deriv(mode: ZernikeCoeffs, r: float) -> float:
-    """Derivative of :func:`pruefer_beta` with respect to r."""
-    return _beta_and_deriv(_constants(mode), r)[1]
-
-
 def _slope(const: tuple[float, float, float], r: float, theta: float) -> float:
     # d theta / dr from the mode constants of _constants
     b, db = _beta_and_deriv(const, r)
     if b <= 0.0:
         b = 1e-30
     return -math.sqrt(b) - (db / (4.0 * b) + pruefer_alpha(r) / 2.0) * math.sin(2.0 * theta)
-
-
-def _theta_slope(mode: ZernikeCoeffs, r: float, theta: float) -> float:
-    """Phase slope d theta / dr of the mode at (r, theta)."""
-    return _slope(_constants(mode), r, theta)
 
 
 def _turning_point(mode: ZernikeCoeffs) -> float:
@@ -152,33 +144,6 @@ def _largest_root_scan(mode: ZernikeCoeffs, x0: float):
     return _newton(mode, 0.5 * (lo + hi), lo, hi)
 
 
-def _largest_root_taylor(mode: ZernikeCoeffs, x0: float):
-    """Quadratic local-model steps from x0 (low-eigenvalue branch), then Newton."""
-    r = min(max(x0, 1e-6), 1.0 - 1e-9)
-    for _ in range(3):
-        f, df = eval_phi_and_deriv(mode, r)
-        d2f = eval_phi_second_deriv(mode, min(max(r, 1e-9), 1.0 - 1e-12))
-        disc = df * df - 2.0 * f * d2f
-        if disc > 0.0 and d2f != 0.0:
-            root_disc = math.sqrt(disc)
-            h = -2.0 * f / (df + math.copysign(root_disc, df))
-        elif df != 0.0:
-            h = -f / df
-        else:
-            break
-        r = min(max(r + h, 1e-9), 1.0 - 1e-12)
-    try:
-        root, its = _newton(mode, r, 1e-12, 1.0)
-    except NumericalError:
-        return _largest_root_scan(mode, x0)
-    # confirm nothing above it: otherwise fall back to the scanning branch
-    probe = np.linspace(root * (1.0 + 1e-9) + 1e-12, max(x0, root + 1e-9), 64)
-    vals = eval_phi(mode, probe)
-    if np.any(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0):
-        return _largest_root_scan(mode, x0)
-    return root, its
-
-
 def _march_interval(const: tuple[float, float, float], r_start: float, x0: float) -> float:
     """RK4 march of r(theta) across one pi of phase, starting at a root.
 
@@ -199,19 +164,14 @@ def _march_interval(const: tuple[float, float, float], r_start: float, x0: float
     return r
 
 
-def find_roots(
-    mode: ZernikeCoeffs,
-    chi_threshold: float | None = None,
-    diagnostics: list | None = None,
-) -> np.ndarray:
+def find_roots(mode: ZernikeCoeffs, diagnostics: list | None = None) -> np.ndarray:
     """All n roots of Phi_{N,n} in (0, 1), ascending.
 
-    The largest root is found by a sign scan below the turning point of
-    the phase coefficient (or by local quadratic steps when chi falls
-    below ``chi_threshold``, default 1/sqrt(c)); the remaining roots are
-    reached by marching the phase equation one pi at a time with
-    classical fourth-order Runge-Kutta (12 steps, 48 slope evaluations)
-    and polishing each landing with Newton.
+    The largest root is bracketed by a Chebyshev-spaced sign scan below
+    the turning point of the phase coefficient and polished with Newton;
+    the remaining roots are reached by marching the phase equation one pi
+    at a time with classical fourth-order Runge-Kutta (12 steps, 48 slope
+    evaluations) and polishing each landing with Newton.
 
     ``diagnostics``, when given a list, receives one dict per root with
     the pre-polish marching error and Newton iteration count.
@@ -219,18 +179,14 @@ def find_roots(
     Raises
     ------
     NumericalError
-        If the number of polished roots differs from n.
+        If the scan finds no sign change, or the number of polished roots
+        differs from n.
     """
     n = mode.n
     if n == 0:
         return np.empty(0)
-    ch = mode.channel
-    thr = 1.0 / math.sqrt(ch.c) if chi_threshold is None else chi_threshold
     x0 = _turning_point(mode)
-    if mode.chi > thr:
-        r_top, its = _largest_root_scan(mode, x0)
-    else:
-        r_top, its = _largest_root_taylor(mode, x0)
+    r_top, its = _largest_root_scan(mode, x0)
     if diagnostics is not None:
         diagnostics.append({"root": r_top, "march_err": 0.0, "newton_iters": its})
     roots = [r_top]

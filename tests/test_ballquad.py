@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gpsf
-from gpsf.ballquad import surface_area, surface_harmonic
+from gpsf.ballquad import _gauss_legendre, surface_area, surface_harmonic
 from gpsf.prolate import ProlateChannel
 
 from golden import DISK_INTEGRAL_EXACT
@@ -12,24 +12,25 @@ from oracles import gauss_legendre_01_mp
 
 
 class TestAngularRule:
+    # m angles integrate surface harmonics of degree up to m - 1
     def test_circle_total_weight(self):
-        rule = gpsf.angular_rule(0, 20)
+        rule = gpsf.angular_rule_from_count(0, 21)
         assert np.sum(rule.weights) == pytest.approx(2.0 * math.pi, rel=1e-15)
 
     def test_circle_discrete_orthogonality(self):
-        rule = gpsf.angular_rule(0, 20)
-        th = rule.azimuths
+        rule = gpsf.angular_rule_from_count(0, 21)
+        th = np.arctan2(rule.points[:, 1], rule.points[:, 0])
         for N in range(1, 21):
             assert abs(np.sum(rule.weights * np.cos(N * th))) < 1e-12
             assert abs(np.sum(rule.weights * np.sin(N * th))) < 1e-12
 
     def test_sphere_total_weight(self):
-        rule = gpsf.angular_rule(1, 10)
+        rule = gpsf.angular_rule_from_count(1, 11)
         assert np.sum(rule.weights) == pytest.approx(4.0 * math.pi, rel=1e-14)
 
     def test_sphere_polynomial_moments(self):
         # moments of the last coordinate: 4 pi / (k+1) for even k, 0 odd
-        rule = gpsf.angular_rule(1, 10)
+        rule = gpsf.angular_rule_from_count(1, 11)
         z = rule.points[:, 2]
         for k in range(11):
             got = float(np.sum(rule.weights * z**k))
@@ -39,7 +40,7 @@ class TestAngularRule:
     @pytest.mark.parametrize("p", [0, 1])
     def test_harmonics_integrate_to_zero(self, p):
         K2 = 8
-        rule = gpsf.angular_rule(p, K2)
+        rule = gpsf.angular_rule_from_count(p, K2 + 1)
         for N in range(1, K2 + 1):
             for ell in range(1, gpsf.harmonic_count(p, N) + 1):
                 vals = surface_harmonic(p, N, ell, rule.points)
@@ -47,7 +48,7 @@ class TestAngularRule:
 
     @pytest.mark.parametrize("p", [0, 1])
     def test_harmonics_orthonormal_under_rule(self, p):
-        rule = gpsf.angular_rule(p, 10)
+        rule = gpsf.angular_rule_from_count(p, 11)
         basis = []
         for N in range(0, 5):
             for ell in range(1, gpsf.harmonic_count(p, N) + 1):
@@ -63,7 +64,7 @@ class TestAngularRule:
         # sphere the real or imaginary part of its own sph_harm_y call
         from scipy.special import sph_harm_y
 
-        pts = gpsf.angular_rule(p, 13).points
+        pts = gpsf.angular_rule_from_count(p, 14).points
         theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0)) if p == 1 else None
         az = np.arctan2(pts[:, 1], pts[:, 0]) if p >= 0 else None
         for N in range(2 if p == -1 else 12):
@@ -85,14 +86,14 @@ class TestAngularRule:
                 assert np.array_equal(surface_harmonic(p, N, ell, pts), ref)
 
     def test_interval_endpoints(self):
-        rule = gpsf.angular_rule(-1, 3)
+        rule = gpsf.angular_rule_from_count(-1, 4)
         assert np.array_equal(rule.weights, [1.0, 1.0])
         assert np.array_equal(rule.points[:, 0], [-1.0, 1.0])
         assert np.sum(rule.weights) == surface_area(-1)
 
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
-            gpsf.angular_rule(2, 4)
+            gpsf.angular_rule_from_count(2, 5)
 
 
 class TestPolarGaussLegendre:
@@ -101,12 +102,17 @@ class TestPolarGaussLegendre:
         # the polar factor of the p=1 rule against the 40-digit rule mapped to
         # [-1, 1]; leggauss weights miss this bound (9.7e-16 at q=25, 5.2e-15 at q=300)
         ref_nodes, ref_weights = gauss_legendre_01_mp(q)
-        rule = gpsf.angular_rule_from_count(1, 2 * q - 1)
-        assert len(rule.polar_weights) == q
-        w_ref = np.array([float(2 * w) for w in ref_weights])
+        m = 2 * q - 1
+        rule = gpsf.angular_rule_from_count(1, m)
+        u, w = _gauss_legendre(q)
+        assert len(w) == q and rule.count == q * m
+        # the rule's polar cosines and ring weights are this factor's nodes and weights
+        assert np.array_equal(rule.points[::m, 2], u)
+        assert np.array_equal(rule.weights[::m], w * 2.0 * math.pi / m)
+        w_ref = np.array([float(2 * v) for v in ref_weights])
         u_ref = np.array([float(2 * x - 1) for x in ref_nodes])
-        assert np.max(np.abs(rule.polar_weights - w_ref)) <= 4e-16
-        assert np.max(np.abs(rule.polar_nodes - u_ref)) <= 2.3e-16
+        assert np.max(np.abs(w - w_ref)) <= 4e-16
+        assert np.max(np.abs(u - u_ref)) <= 2.3e-16
 
 
 class TestTensorRule:

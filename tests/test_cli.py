@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,9 +116,26 @@ class TestDeterminism:
         # the fused root polish
         args = [sys.executable, "-m", "gpsf.cli", "ball-integrate", "--p", "1", "--c", "12",
                 "--x", "-0.4,0.3,0.2", "--radial", "gauss:10", "--angular", "36"]
-        first, second = (subprocess.run(args, capture_output=True, text=True) for _ in range(2))
+        # the child imports gpsf from the same tree as this process, installed or not
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        first, second = (subprocess.run(args, capture_output=True, text=True, env=env)
+                         for _ in range(2))
         assert first.returncode == 0 and second.returncode == 0, first.stderr
         assert first.stdout == second.stdout
+
+    def test_parser_built_once_per_process(self, capsys):
+        cli._build_parser.cache_clear()
+        args = ["eigs", "--p", "0", "--c", "20", "--N", "1", "--nmax", "4", "--format", "json"]
+        first, second = run_cli(args, capsys), run_cli(args, capsys)
+        assert cli._build_parser.cache_info().misses == 1
+        assert first == second and first[0] == 0
+        # a reused parser still answers --help with 0 and a usage error with 2
+        assert run_cli(["eigs", "--help"], capsys)[0] == 0
+        code, out, err = run_cli(["eigs", "--p", "0", "--c", "20"], capsys)
+        assert code == 2 and out == "" and "required: --nmax" in err
+        assert run_cli(args, capsys) == first
+        assert cli._build_parser.cache_info().misses == 1
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "rule.csv"
@@ -324,6 +343,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "unrecognized arguments: --eps" in err
 
+    def test_angular_count_checked_before_the_radial_rule(self, capsys, monkeypatch):
+        def no_rule(*a, **k):
+            raise AssertionError("the radial rule was built before the angular count was checked")
+
+        monkeypatch.setattr(cli, "gaussian_rule", no_rule)
+        code, out, err = run_cli(["ball-integrate", "--p", "0", "--c", "20", "--x", "0.1,0.2",
+                                  "--radial", "gauss:10", "--angular", "0"], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "angular count must be positive" in err
+
     def test_wrong_point_dimension(self, capsys):
         code, _, _ = run_cli(
             ["ball-integrate", "--p", "1", "--c", "20", "--x", "0.9,0.2",
@@ -347,6 +376,9 @@ class TestNonFiniteRequests:
          "finite numbers"),
         (["eval", "--p", "0", "--c", "20", "--N", "0", "--n", "3", "--r", "nan,0.5"],
          "finite numbers"),
+        # 20 radial nodes times 100000 x 50000 angular nodes
+        (["ball-integrate", "--p", "1", "--c", "20", "--x", "0.1,0.2,0.3",
+          "--radial", "cheb:20", "--angular", "100000"], "above the limit of 4000000"),
     ])
     def test_refused_before_compute(self, capsys, monkeypatch, args, message):
         def no_compute(*a, **k):
@@ -355,7 +387,7 @@ class TestNonFiniteRequests:
         from gpsf import interp, prolate, spectrum
 
         for module, names in ((cli, ("solve_channel", "chebyshev_rule", "gaussian_rule",
-                                     "mu_sum_check", "beta_chain")),
+                                     "angular_rule_from_count", "mu_sum_check", "beta_chain")),
                               (interp, ("beta_chain", "gaussian_rule", "_angular_count")),
                               (prolate, ("solve_channel",)), (spectrum, ("solve_channel",))):
             for name in names:
@@ -378,6 +410,19 @@ class TestNonFiniteRequests:
                                   "--angular-count", "40"], capsys)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "non-finite" in err
+
+    @pytest.mark.parametrize("c", ["1e9", "1e308"])
+    def test_band_limit_above_the_truncation_limit(self, capsys, monkeypatch, c):
+        from gpsf import prolate
+
+        def no_solve(*a, **k):
+            raise AssertionError("a channel solve started above the truncation limit")
+
+        for name in ("tridiag_matrix", "eigh_tridiagonal"):
+            monkeypatch.setattr(prolate, name, no_solve)
+        code, out, err = run_cli(["eigs", "--p", "0", "--c", c, "--nmax", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "needs more than 20000 Zernike coefficients" in err
 
     def test_sampling_rule_over_the_node_limit(self, capsys):
         # p=1, c=400: 2202 x 1101 angular nodes before any radial count

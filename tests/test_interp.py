@@ -181,8 +181,7 @@ class TestSamplingRuleSizes:
         rule = gpsf.sampling_rule(p, c)
         assert len(rule.radial.nodes) == radial
         assert interp._angular_count(p, 2.0 * c, 1e-15) == angular
-        if p >= 0:
-            assert len(rule.angular.azimuths) == angular
+        assert rule.angular.count == gpsf.angular_node_count(p, angular)
 
     @pytest.mark.parametrize("p, c", [(p, c) for p, c, _, _ in RECOVER_RULES]
                              + [(p, c) for p in (-1, 0, 1) for c in (50.0, 200.0)])
@@ -444,9 +443,9 @@ class TestSamplingRuleSizeGuard:
             gpsf.sampling_rule(0, 10.0, angular_count=300000)
 
     def test_limit_is_inclusive(self):
-        interp._check_size(0, 1.0, 400, 10000)
+        gpsf.ballquad.check_node_count("rule", 0, 400, 10000)
         with pytest.raises(ValueError):
-            interp._check_size(0, 1.0, 400, 10001)
+            gpsf.ballquad.check_node_count("rule", 0, 400, 10001)
 
     @pytest.mark.parametrize("p, m", [(-1, 7), (0, 1), (0, 40), (1, 1), (1, 30), (1, 31)])
     def test_node_count_matches_the_built_rule(self, p, m):

@@ -84,6 +84,27 @@ class TestChooseTruncation:
         with pytest.raises(ValueError):
             gpsf.choose_truncation(ProlateChannel(0, 20.0, 0), 0, 1.5)
 
+    @pytest.mark.parametrize("p", [-1, 0, 1])
+    def test_unchanged_below_the_limit(self, p):
+        # the integer formula, max(ceil((e c - N)/2), halving bound, nmax) + 10, up to c = 1000
+        for c in np.concatenate([np.geomspace(1e-6, 1000.0, 40), [14.0, 100.0, 1000.0]]):
+            for N, nmax in ((0, 0), (1, 40), (0, 399)):
+                ch = ProlateChannel(p, float(c), N)
+                k_regime = max(0, math.ceil((math.e * ch.c - N) / 2.0))
+                halving = (-math.log(1e-16) / math.log(2.0) - ch.alpha - 1.0) / 2.0
+                k_halving = max(0, math.ceil(halving))
+                expect = max(max(k_regime, k_halving) + 10, nmax + 10)
+                assert gpsf.choose_truncation(ch, nmax, 1e-16) == expect
+
+    @pytest.mark.parametrize("c, nmax, K", [(14700.0, 0, 19990), (20.0, 19989, 19999)])
+    def test_largest_accepted(self, c, nmax, K):
+        assert gpsf.choose_truncation(ProlateChannel(0, c, 0), nmax, 1e-16) == K
+
+    @pytest.mark.parametrize("c, nmax", [(14710.0, 0), (1e9, 2), (1e308, 2), (20.0, 19991)])
+    def test_refused_above_the_limit(self, c, nmax):
+        with pytest.raises(ValueError, match="needs more than 20000 Zernike coefficients"):
+            gpsf.choose_truncation(ProlateChannel(0, c, 0), nmax, 1e-16)
+
 
 class TestSolveChannel:
     def test_small_bandwidth_eigenvalue(self):
@@ -173,22 +194,6 @@ class TestEvalPhiDeriv:
             vals = np.abs(gpsf.eval_phi_deriv(mode, np.array([1e-2, 1e-4, 1e-6])))
             assert np.all(np.diff(vals) < 0.0)
             assert vals[-1] < 1e-4 * max(abs(gpsf.eval_phi_deriv(mode, 0.5)), 1.0)
-
-    def test_ode_residual(self, channels):
-        mode = channels(0, 20.0, 0, 5)[5]
-        p, c, N = 0, 20.0, 0
-        x = 0.5
-        phi = gpsf.eval_phi(mode, x)
-        dphi = gpsf.eval_phi_deriv(mode, x)
-        d2phi = gpsf.eval_phi_second_deriv(mode, x)
-        resid = (
-            x * x * (1.0 - x * x) * d2phi
-            + ((p + 1.0) * x - (p + 3.0) * x**3) * dphi
-            + (mode.chi * x * x - (p + 1.0) * (p + 3.0) / 4.0 * x * x - N * (N + p) - c * c * x**4)
-            * phi
-        )
-        scale = max(abs(mode.chi * phi), abs(d2phi), 1.0)
-        assert abs(resid) <= 1e-9 * scale
 
 
 class TestCoefficientDecay:

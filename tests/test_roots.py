@@ -69,22 +69,16 @@ class TestFindRoots:
         assert max(d["march_err"] for d in diag) <= 1e-3
         assert max(d["newton_iters"] for d in diag) <= 8
 
-    def test_low_threshold_branch_agrees(self, channels):
-        mode = channels(0, 20.0, 0, 6)[6]
-        a = find_roots(mode)
-        b = find_roots(mode, chi_threshold=1e12)  # force the quadratic-step branch
-        assert np.max(np.abs(a - b)) < 1e-13
-
 
 class TestPrueferPhase:
     def test_phase_slope_negative_between_roots(self, channels):
-        from gpsf.roots import _theta_slope
+        from gpsf.roots import _constants, _slope
 
         mode = channels(0, 20.0, 0, 12)[12]
         roots = find_roots(mode)
         rr = np.linspace(roots[0], roots[-1], 200)
         for r in rr:
-            assert _theta_slope(mode, float(r), 0.37) < 0.0
+            assert _slope(_constants(mode), float(r), 0.37) < 0.0
 
     def test_beta_positive_on_oscillatory_interval(self, channels):
         mode = channels(0, 20.0, 0, 12)[12]
@@ -135,9 +129,11 @@ class TestMarchCost:
 
 
 class TestRootExtremes:
-    # c near 0, N >> c, the interval's odd channel and c = 1000
+    # c near 0, N >> c, the interval's odd channel, c = 1000, and four modes with
+    # chi <= 1/sqrt(c), which for n >= 1 takes c < 1/36
     @pytest.mark.parametrize("p,c,N,n", [(0, 1e-3, 0, 10), (0, 5.0, 40, 6), (-1, 50.0, 1, 20),
-                                         (0, 1000.0, 0, 399)])
+                                         (0, 1000.0, 0, 399), (-1, 1e-8, 0, 1), (0, 1e-4, 0, 2),
+                                         (-1, 0.02, 0, 1), (1, 1e-5, 3, 3)])
     def test_count_and_residual_in_extended_precision(self, channels, p, c, N, n):
         from oracles import phi_mp
 
