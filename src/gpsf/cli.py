@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import scipy.special as sps
@@ -146,7 +147,11 @@ def _cmd_interp(args) -> None:
         if len(x) != dim:
             raise ValidationError(f"--x needs {dim} coordinates for p={args.p}")
     else:
-        data = np.loadtxt(args.samples, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt's warning for a file with no rows
+            data = np.loadtxt(args.samples, delimiter=",", skiprows=1, ndmin=2)
+        if data.size == 0:
+            raise ValidationError("sample file holds no sample rows")
         if data.shape[1] != dim + 2:
             raise ValidationError(
                 f"sample file has {data.shape[1]} columns, expected {dim + 2} "
@@ -193,6 +198,8 @@ def _cmd_spectrum_check(args) -> None:
 
 def _cmd_figure_data(args) -> None:
     Ns = [int(v) for v in args.N.split(",") if v]
+    if not Ns:
+        raise ValidationError(f"--N needs at least one angular order, got {args.N!r}")
     chains = [beta_chain(ProlateChannel(args.p, args.c, N), args.nmax, eps=args.eps) for N in Ns]
     rows = [(N, t.mode.n + 1, abs(t.lam)) for N, chain in zip(Ns, chains) for t in chain]
     header = ["N", "i", "abs_lambda"]

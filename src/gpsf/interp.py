@@ -24,7 +24,7 @@ from .ballquad import (
     tensor_rule,
     truncation_bound,
 )
-from .prolate import ProlateChannel, ZernikeCoeffs, eval_phi, solve_channel, tabulate
+from .prolate import ProlateChannel, ZernikeCoeffs, solve_channel, tabulate
 from .quadrature import gaussian_rule
 from .spectrum import EigenTriple, beta_chain, harmonic_count
 
@@ -139,9 +139,10 @@ def _angular_count(p: int, c2: float, target: float) -> int:
 def _check_modes(p: int, modes) -> None:
     if not modes:
         raise ValueError("no modes requested")
+    counts = {N: harmonic_count(p, N) if N >= 0 else 0 for N in {key[0] for key in modes}}
     for key in modes:
         N, ell, n = key
-        h = harmonic_count(p, N) if N >= 0 else 0
+        h = counts[N]
         if h == 0:
             raise ValueError(f"mode {key}: there are no surface harmonics of order N={N} for p={p}")
         if not 1 <= ell <= h:
@@ -183,8 +184,9 @@ def recover_coeffs(
     """Project sampled values of a band-limited function onto the basis.
 
     Each channel N is tabulated once at the radial nodes, for all its
-    cached modes, its harmonics once at the angular nodes, and each
-    angular projection is formed once per (N, ell).
+    cached modes, and weighted by the radial rule once; its harmonics are
+    formed once at the angular nodes, and each angular projection once per
+    (N, ell), which gives every n of that pair in one array sum.
 
     Parameters
     ----------
@@ -238,14 +240,18 @@ def recover_coeffs(
     G = np.fft.fft(F, axis=1) * (2.0 * math.pi / rule.angular.count) if (p == 0 and use_fft) else None
     for N in sorted(wanted):
         triples = cache.triples(N)
-        phi = tabulate(cache.modes(N), rule.radial.nodes)
+        W = tabulate(cache.modes(N), rule.radial.nodes) * rweights
         S = surface_harmonics(p, N, rule.angular.points) if G is None else None
-        ang: dict[int, np.ndarray] = {}
+        by_ell: dict[int, list[int]] = {}
         for ell, n in wanted[N]:
-            if ell not in ang:
-                ang[ell] = _angular_projection(rule, F, G, S, N, ell)
+            by_ell.setdefault(ell, []).append(n)
+        coeffs: dict[tuple[int, int], complex] = {}
+        for ell, ns in by_ell.items():
+            ang = _angular_projection(rule, F, G, S, N, ell)
+            coeffs.update(zip(((ell, n) for n in ns), np.sum(W[ns] * ang, axis=1).tolist()))
+        for ell, n in wanted[N]:
             key = (N, ell, n)
-            terms[key] = complex(np.sum(rweights * phi[n] * ang[ell]))
+            terms[key] = coeffs[ell, n]
             if n >= len(triples) or abs(triples[n].lam) < _RELIABLE_FLOOR:
                 unreliable.add(key)
     return GpsfExpansion(p, c, terms, frozenset(unreliable))
@@ -258,7 +264,8 @@ def synthesize(
 ) -> complex:
     """Evaluate the expansion at a point of the closed unit ball.
 
-    Phi_{N,n}(|x|) is evaluated once per (N, n) and the harmonics
+    The radial functions of each order N are tabulated at |x| from one
+    basis build, for the n with a nonzero coefficient, and the harmonics
     S_N^ell(x/|x|) once per N; the terms are summed in sorted order.
     """
     x = np.asarray(x, dtype=float)
@@ -276,17 +283,20 @@ def synthesize(
         xhat[0] = 1.0
     else:
         xhat = x / r
+    terms = [(key, coeff) for key, coeff in sorted(expansion.terms.items()) if coeff != 0.0]
+    kept: dict[int, set[int]] = {}
+    for (N, _, n), _ in terms:
+        kept.setdefault(N, set()).add(n)
     phi: dict[tuple[int, int], float] = {}
-    harm: dict[int, np.ndarray] = {}
+    harm: dict[int, list[float]] = {}
+    for N, ns in kept.items():
+        ns = sorted(ns)
+        modes = cache.modes(N)
+        phi.update(zip(((N, n) for n in ns), tabulate([modes[n] for n in ns], r)[:, 0].tolist()))
+        harm[N] = surface_harmonics(expansion.p, N, xhat[None, :])[:, 0].tolist()
     total = 0.0 + 0.0j
-    for (N, ell, n), coeff in sorted(expansion.terms.items()):
-        if coeff == 0.0:
-            continue
-        if (N, n) not in phi:
-            phi[N, n] = eval_phi(cache.modes(N)[n], r)
-        if N not in harm:
-            harm[N] = surface_harmonics(expansion.p, N, xhat[None, :])[:, 0]
-        total += coeff * phi[N, n] * float(harm[N][ell - 1])
+    for (N, ell, n), coeff in terms:
+        total += coeff * phi[N, n] * harm[N][ell - 1]
     return total
 
 

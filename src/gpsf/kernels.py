@@ -7,7 +7,6 @@ sums a coefficient vector against the recurrence at one radius on plain
 floats, keeping the running sums as it goes (Clenshaw, MTAC 9, 1955).
 """
 
-import functools
 import itertools
 import math
 
@@ -16,14 +15,17 @@ import numpy as np
 __all__ = ["rbar_basis", "rbar_basis_with_deriv", "phi_and_deriv", "phase_sum"]
 
 _PHASE_CHUNK = 1 << 16  # terms per chunk handed to math.fsum
+_TABLE_ALPHAS = 256  # recurrence tables kept, one per alpha, least recently used dropped first
+_tables: dict[float, tuple] = {}
 
 
-@functools.lru_cache(maxsize=64)
-def _recurrence_tables(alpha, K):
-    # float lists for P_{k+1} = (a0 + a1 y) P_k - b P_{k-1}, y = 1 - 2x, run as
+def _build_tables(alpha, K):
+    # coefficients for P_{k+1} = (a0 + a1 y) P_k - b P_{k-1}, y = 1 - 2x, run as
     # (c0 - 2 a1 x) P_k - b P_{k-1} with c0 = a0 + a1 and x = r^2, which keeps
     # r^2 to full relative precision near r = 0 where 1 - 2r^2 would not; d/dy adds
-    # a1 P_k to it for P'.  scale[k] is the signed orthonormalization.
+    # a1 P_k to it for P'.  scale[k] is the signed orthonormalization.  Every
+    # entry is an elementwise function of (k, alpha) alone, so a longer table
+    # starts with the bits of a shorter one.
     k = np.arange(1, max(K - 1, 1), dtype=np.float64)
     t = 2.0 * k + alpha
     den = 2.0 * (k + 1.0) * (k + alpha + 1.0) * t
@@ -32,7 +34,25 @@ def _recurrence_tables(alpha, K):
     b = 2.0 * (k + alpha) * k * (t + 2.0) / den
     scale = np.sqrt(2.0 * (2.0 * np.arange(K, dtype=np.float64) + alpha + 1.0))
     scale[1::2] *= -1.0
-    return c0.tolist(), a1.tolist(), b.tolist(), scale.tolist()
+    arrays = (c0, a1, b, scale)
+    return arrays, tuple(a.tolist() for a in arrays)
+
+
+def _recurrence_tables(alpha, K):
+    """(arrays, lists) of (c0, a1, b, scale) at alpha, for K or more rows.
+
+    One table is kept per alpha and grown, at least twofold, when a larger K is
+    asked for; a caller reads the first K - 2 entries of c0, a1, b and the
+    first K of scale, as float64 arrays or as lists of floats.
+    """
+    tables = _tables.pop(alpha, None)
+    rows = len(tables[0][3]) if tables else 0  # the length of scale
+    if rows < K:
+        tables = _build_tables(alpha, max(K, 2 * rows))
+    _tables[alpha] = tables  # reinserted last: the dict runs from least to most recently used
+    if len(_tables) > _TABLE_ALPHAS:
+        del _tables[next(iter(_tables))]
+    return tables
 
 
 def _powers(N, r):
@@ -53,29 +73,42 @@ def rbar_basis_with_deriv(alpha, N, K, r):
 
 def _basis(alpha, N, K, r, deriv):
     r = np.ascontiguousarray(r, dtype=np.float64)
-    c0, a1, b, scale = _recurrence_tables(alpha, K)
+    arrays, lists = _recurrence_tables(alpha, K)
+    c0, a1, _, scale = arrays  # whole-table products
+    _, a1s, b, _ = lists  # per-row factors, as floats
     x = r * r
     rn, drn = _powers(N, r)
-    m4r = -4.0 * r
-    B = np.empty((K, r.shape[0]))
-    D = np.empty_like(B) if deriv else None
-    B[0] = scale[0] * rn
+    # rows of P_k(y(r)) and, with deriv, P_k'(y(r)), written in place; ay[k - 2]
+    # is the recurrence factor c0 - 2 a1 x of row k
+    P = np.empty((K, r.shape[0]))
+    D = np.empty_like(P) if deriv else None
+    tmp = np.empty_like(r)
+    P[0] = 1.0
     if deriv:
-        D[0] = scale[0] * drn
+        D[0] = 0.0
     if K > 1:
-        pkm1, pk = np.ones_like(r), (alpha + 1.0) - (alpha + 2.0) * x
-        dkm1, dk = np.zeros_like(r), np.full_like(r, (alpha + 2.0) / 2.0)
-        for k in range(1, K):
-            if k > 1:
-                ay = c0[k - 2] - 2.0 * a1[k - 2] * x
-                if deriv:
-                    dkm1, dk = dk, ay * dk - b[k - 2] * dkm1 + a1[k - 2] * pk
-                pkm1, pk = pk, ay * pk - b[k - 2] * pkm1
-            B[k] = scale[k] * pk * rn
+        P[1] = (alpha + 1.0) - (alpha + 2.0) * x
+        if deriv:
+            D[1] = (alpha + 2.0) / 2.0
+        ay = (2.0 * a1[: K - 2, None]) * x
+        np.subtract(c0[: K - 2, None], ay, out=ay)
+        for k in range(2, K):
             if deriv:
-                # d/dr [P(y(r)) r^N] = P'(y) (-4r) r^N + P(y) N r^(N-1)
-                D[k] = scale[k] * (dk * m4r * rn + pk * drn)
-    return B, D
+                np.multiply(ay[k - 2], D[k - 1], out=D[k])
+                D[k] -= np.multiply(b[k - 2], D[k - 2], out=tmp)
+                D[k] += np.multiply(a1s[k - 2], P[k - 1], out=tmp)
+            np.multiply(ay[k - 2], P[k - 1], out=P[k])
+            P[k] -= np.multiply(b[k - 2], P[k - 2], out=tmp)
+    scale = scale[:K, None]
+    if deriv:
+        # d/dr [P(y(r)) r^N] = P'(y) (-4r) r^N + P(y) N r^(N-1)
+        D *= -4.0 * r
+        D *= rn
+        D += P * drn
+        D *= scale
+    P *= scale
+    P *= rn
+    return P, D
 
 
 def phi_and_deriv(alpha, N, coeffs, r):
@@ -85,7 +118,7 @@ def phi_and_deriv(alpha, N, coeffs, r):
     two coefficient sums as it goes; ``coeffs`` is a sequence of floats.
     """
     K = len(coeffs)
-    c0, a1, b, scale = _recurrence_tables(alpha, K)
+    c0, a1, b, scale = _recurrence_tables(alpha, K)[1]
     w = [c * s for c, s in zip(coeffs, scale)]
     r = float(r)
     x = r * r

@@ -46,6 +46,7 @@ _SAFETY_MARGIN = 10  # extra basis functions beyond the decay bound
 _MAX_ENLARGEMENTS = 5  # truncation steps of 2 * _SAFETY_MARGIN before a solve gives up
 _SUPPORT_CUT = 1e-20  # coefficients at or below it are left out of evaluation
 _MAX_TRUNCATION = 20_000  # most Zernike coefficients per mode: band limits up to about 14700
+_MAX_VECTOR_ENTRIES = 25_000_000  # most eigenvector entries K * (nmax + 1) per solve: 200 MB
 
 
 class NumericalError(RuntimeError):
@@ -250,12 +251,19 @@ def solve_channel(
 
     Raises
     ------
+    ValueError
+        Before any solve, if the starting K times nmax + 1, the eigenvector
+        entries asked for, is above 25,000,000 (200 MB of float64): at
+        small c that keeps nmax up to 4994.
     NumericalError
         If the tridiagonal eigensolver fails to converge, or the tail is
         still above 10 * ``eps`` after five enlargements of K.
     """
     if K is None:
         K = choose_truncation(channel, nmax, eps)
+    if K * (nmax + 1) > _MAX_VECTOR_ENTRIES:
+        raise ValueError(f"{channel} with nmax={nmax} needs {K} x {nmax + 1} eigenvector entries, "
+                         f"above the limit of {_MAX_VECTOR_ENTRIES}")
     for step in range(_MAX_ENLARGEMENTS + 1):
         mat = tridiag_matrix(channel, K)
         try:

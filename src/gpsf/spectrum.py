@@ -262,7 +262,10 @@ def mu_sum_check(p: int, c: float, Nmax: int, nmax: int) -> tuple[float, float]:
     falls below 1e-26 since the omitted tail decays super-exponentially,
     and end at the first channel whose top mu is below 1e-26.  Each channel
     first solves as many modes as the previous chain used (mu falls with N).
+    A negative ``Nmax`` or ``nmax`` raises ``ValueError``.
     """
+    if Nmax < 0 or nmax < 0:
+        raise ValueError(f"Nmax and nmax must be nonnegative, got Nmax={Nmax}, nmax={nmax}")
     total = 0.0
     batch = _FIRST_BATCH
     for N in range(Nmax + 1):

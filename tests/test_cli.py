@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,14 @@ class TestFigureData:
         assert "unrecognized arguments: --threads 2" in err
 
 
+    @pytest.mark.parametrize("orders", ["", ",", ",,"])
+    def test_empty_order_list_refused(self, capsys, orders):
+        code, out, err = run_cli(["figure-data", "--p", "0", "--c", "20", f"--N={orders}",
+                                  "--nmax", "3"], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--N needs at least one angular order" in err
+
+
 class TestDeterminism:
     def test_quad_gauss_byte_identical(self, capsys):
         args = ["quad-gauss", "--p", "0", "--c", "20", "--n", "10"]
@@ -194,6 +203,17 @@ class TestInterpCommand:
         assert "node columns differ from the rule nodes by 1e-09" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["x,y,f_re,f_im\n", "x,y,f_re,f_im\n\n", ""])
+    def test_sample_file_without_rows(self, capsys, tmp_path, text):
+        path = tmp_path / "samples.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's empty-input warning must not escape
+            code, out, err = run_cli(["interp", "--p", "0", "--c", "10", "--Nmax", "1",
+                                      "--nmax", "1", "--samples", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == "gpsf: invalid request: sample file holds no sample rows\n"
+
     def test_sample_file_column_count_checked(self, capsys, tmp_path):
         # p=1 needs 3 node columns; a disk-shaped file has 2
         path = self._sample_file(tmp_path, [np.zeros((4, 2)), np.ones(4), np.zeros(4)])
@@ -244,6 +264,34 @@ class TestSpectrumCheck:
         d = json.loads(out)
         assert d["closed_form"] == pytest.approx(25.0)
         assert abs(d["ratio"] - 1.0) < 1e-6
+
+
+    @pytest.mark.parametrize("flag", ["--Nmax", "--nmax"])
+    def test_negative_order_limit_refused(self, capsys, monkeypatch, flag):
+        from gpsf import spectrum
+
+        def no_solve(*a, **k):
+            raise AssertionError("a channel solve started for a negative limit")
+
+        monkeypatch.setattr(spectrum, "solve_channel", no_solve)
+        code, out, err = run_cli(["spectrum-check", "--p", "0", "--c", "10", flag, "-1"], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "must be nonnegative" in err and f"{flag[2:]}=-1" in err
+
+
+class TestEigenvectorLimit:
+    @pytest.mark.parametrize("command", [["eigs", "--N", "0", "--nmax", "19000"],
+                                         ["eval", "--N", "0", "--n", "19000", "--r", "0.5"]])
+    def test_refused_before_the_solve(self, capsys, monkeypatch, command):
+        from gpsf import prolate
+
+        def no_solve(*a, **k):
+            raise AssertionError("eigh_tridiagonal called above the eigenvector limit")
+
+        monkeypatch.setattr(prolate, "eigh_tridiagonal", no_solve)
+        code, out, err = run_cli([command[0], "--p", "0", "--c", "20"] + command[1:], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "19010 x 19001 eigenvector entries" in err
 
 
 class TestEvalRoots:

@@ -6,7 +6,7 @@ import pytest
 import scipy.special
 
 import gpsf
-from gpsf import interp, kernels
+from gpsf import interp, kernels, prolate
 from gpsf.ballquad import surface_harmonic
 from gpsf.interp import ChannelCache, expansion_to_json
 from gpsf.prolate import ProlateChannel
@@ -325,6 +325,78 @@ class TestChannelTabulation:
         assert sorted(a[0] for a in sph) == orders
 
 
+class TestOneBasisPassPerChannel:
+    """Recovery weights each channel's table once and sums every n of an (N, ell)
+    pair in one array sum; synthesis tabulates each channel once per point."""
+
+    @staticmethod
+    def _per_term(rule, samples, cache, modes, use_fft):
+        # one np.sum per term over the channel table, as recovery summed before
+        p = rule.radial.channel.p
+        F = samples.reshape(len(rule.radial.nodes), rule.angular.count)
+        G = np.fft.fft(F, axis=1) * (2.0 * math.pi / rule.angular.count) if (p == 0 and use_fft) else None
+        ref = {}
+        for N in sorted({N for N, _, _ in modes}):
+            phi = prolate.tabulate(cache.modes(N), rule.radial.nodes)
+            S = gpsf.surface_harmonics(p, N, rule.angular.points) if G is None else None
+            for _, ell, n in [m for m in modes if m[0] == N]:
+                ang = interp._angular_projection(rule, F, G, S, N, ell)
+                ref[(N, ell, n)] = complex(np.sum(rule.radial.weights * phi[n] * ang))
+        return ref
+
+    @pytest.mark.parametrize("use_fft", [True, False])
+    @pytest.mark.parametrize("case", [0, 1, 3])  # p = -1, 0, 1
+    def test_terms_bit_identical_to_per_term_sums(self, tabulation_runs, case, use_fft):
+        rule, samples, c, cache, modes, _ = tabulation_runs[case]
+        got = interp.recover_coeffs(rule, samples, c, modes, cache=cache, use_fft=use_fft).terms
+        ref = self._per_term(rule, samples, cache, modes, use_fft)
+        assert list(got) == list(ref)
+        assert all(got[k] == ref[k] for k in ref)
+
+    def test_terms_keep_the_request_order(self, tabulation_runs):
+        rule, samples, c, cache, _, use_fft = tabulation_runs[1]
+        modes = [(3, 2, 1), (0, 1, 4), (3, 1, 0), (3, 2, 0), (0, 1, 2)]
+        got = interp.recover_coeffs(rule, samples, c, modes, cache=cache, use_fft=use_fft).terms
+        assert list(got) == [(0, 1, 4), (0, 1, 2), (3, 2, 1), (3, 1, 0), (3, 2, 0)]
+        ref = self._per_term(rule, samples, cache, modes, use_fft)
+        assert all(got[k] == ref[k] for k in ref)
+
+    @pytest.mark.parametrize("case", range(len(TABULATION_CASES)))
+    def test_one_harmonic_count_per_order(self, tabulation_runs, monkeypatch, case):
+        rule, samples, c, cache, modes, use_fft = tabulation_runs[case]
+        calls = _counting(monkeypatch, interp, "harmonic_count")
+        interp.recover_coeffs(rule, samples, c, modes, cache=cache, use_fft=use_fft)
+        assert sorted(a[1] for a in calls) == sorted({N for N, _, _ in modes})
+
+    @pytest.mark.parametrize("case", range(len(TABULATION_CASES)))
+    def test_synthesis_builds_one_basis_per_channel(self, tabulation_runs, monkeypatch, case):
+        rule, samples, c, cache, modes, use_fft = tabulation_runs[case]
+        exp = interp.recover_coeffs(rule, samples, c, modes, cache=cache, use_fft=use_fft)
+        builds = _counting(monkeypatch, kernels, "rbar_basis")
+        scalar = _counting(monkeypatch, kernels, "phi_and_deriv")
+        y = np.full(exp.p + 2, 0.35)
+        got = interp.synthesize(exp, y, cache=cache)
+        assert sorted(a[1] for a in builds) == sorted({N for N, _, _ in exp.terms})
+        assert scalar == []
+        r = float(np.linalg.norm(y))
+        ref = 0.0 + 0.0j
+        for (N, ell, n), a in sorted(exp.terms.items()):
+            s = float(surface_harmonic(exp.p, N, ell, (y / r)[None, :])[0])
+            ref += a * gpsf.eval_phi(cache.modes(N)[n], r) * s
+        assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
+
+    def test_synthesis_skips_zero_coefficients(self, tabulation_runs, monkeypatch):
+        rule, samples, c, cache, modes, use_fft = tabulation_runs[1]
+        exp = interp.recover_coeffs(rule, samples, c, modes, cache=cache, use_fft=use_fft)
+        kept = {k: (v if k[0] == 2 else 0.0j) for k, v in exp.terms.items()}
+        builds = _counting(monkeypatch, kernels, "rbar_basis")
+        got = interp.synthesize(gpsf.GpsfExpansion(exp.p, c, kept), [0.2, -0.1], cache=cache)
+        assert [a[1] for a in builds] == [2]
+        assert got == interp.synthesize(
+            gpsf.GpsfExpansion(exp.p, c, {k: v for k, v in kept.items() if v != 0.0}), [0.2, -0.1],
+            cache=cache)
+
+
 class TestRequestValidation:
     """Malformed requests raise a one-line ValueError before any radial work."""
 
@@ -333,9 +405,9 @@ class TestRequestValidation:
         def refuse(*a, **k):
             raise AssertionError("compute started before validation")
 
+        # tabulate is recovery's and synthesis's one radial evaluation
         monkeypatch.setattr(interp, "solve_channel", refuse)
-        monkeypatch.setattr(interp, "tabulate", refuse, raising=False)
-        monkeypatch.setattr(interp, "eval_phi", refuse)
+        monkeypatch.setattr(interp, "tabulate", refuse)
 
     @pytest.fixture(scope="class")
     def disk_rule(self):

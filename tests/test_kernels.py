@@ -105,3 +105,98 @@ class TestPathAgreement:
         ref = np.sum(w * np.exp(1j * ph))
         assert abs(complex(re, im) - ref) < 1e-12 * max(1.0, abs(ref))
 
+
+
+def _row_loop_basis(alpha, N, K, r, deriv):
+    """The basis row loop as it was before the in-place rewrite: one row at a time,
+    each with its own temporaries, scaled and multiplied by r^N row by row."""
+    c0, a1, b, scale = kernels._build_tables(alpha, K)[1]
+    x = r * r
+    rn, drn = kernels._powers(N, r)
+    m4r = -4.0 * r
+    B = np.empty((K, r.shape[0]))
+    D = np.empty_like(B) if deriv else None
+    B[0] = scale[0] * rn
+    if deriv:
+        D[0] = scale[0] * drn
+    if K > 1:
+        pkm1, pk = np.ones_like(r), (alpha + 1.0) - (alpha + 2.0) * x
+        dkm1, dk = np.zeros_like(r), np.full_like(r, (alpha + 2.0) / 2.0)
+        for k in range(1, K):
+            if k > 1:
+                ay = c0[k - 2] - 2.0 * a1[k - 2] * x
+                if deriv:
+                    dkm1, dk = dk, ay * dk - b[k - 2] * dkm1 + a1[k - 2] * pk
+                pkm1, pk = pk, ay * pk - b[k - 2] * pkm1
+            B[k] = scale[k] * pk * rn
+            if deriv:
+                D[k] = scale[k] * (dk * m4r * rn + pk * drn)
+    return B, D
+
+
+class TestBasisRowLoop:
+    """The in-place basis loop gives the row loop's bits, signed zeros included."""
+
+    RADII = np.concatenate([[0.0, 1.0, 1e-6, 0.5], np.random.default_rng(7).uniform(0.0, 1.0, 29)])
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 37, 607])
+    @pytest.mark.parametrize("p", [-1, 0, 1])
+    @pytest.mark.parametrize("N", [0, 1, 5])
+    def test_bit_identical(self, K, p, N):
+        alpha = N + p / 2.0
+        B_ref, D_ref = _row_loop_basis(alpha, N, K, self.RADII, True)
+        B, D = kernels.rbar_basis_with_deriv(alpha, N, K, self.RADII)
+        assert B.tobytes() == B_ref.tobytes() and D.tobytes() == D_ref.tobytes()
+        assert kernels.rbar_basis(alpha, N, K, self.RADII).tobytes() == B_ref.tobytes()
+
+
+class TestRecurrenceTables:
+    """One table per alpha, grown on demand, whose prefixes serve every shorter K."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_tables", {})
+        calls = []
+        real = kernels._build_tables
+
+        def counted(alpha, K):
+            calls.append((alpha, K))
+            return real(alpha, K)
+
+        monkeypatch.setattr(kernels, "_build_tables", counted)
+        return calls
+
+    @staticmethod
+    def _prefix(tables, K):
+        arrays, lists = tables
+        cut = (K - 2, K - 2, K - 2, K)
+        return [a[:n].tobytes() for a, n in zip(arrays, cut)], [s[:n] for s, n in zip(lists, cut)]
+
+    def test_longer_request_is_prefix_consistent(self, builds):
+        short = self._prefix(kernels._recurrence_tables(2.5, 12), 12)
+        longer = kernels._recurrence_tables(2.5, 300)
+        assert builds == [(2.5, 12), (2.5, 300)]
+        assert self._prefix(longer, 12) == short
+        assert self._prefix(longer, 300) == self._prefix(kernels._build_tables(2.5, 300), 300)
+
+    def test_shorter_request_builds_nothing(self, builds):
+        first = kernels._recurrence_tables(0.5, 40)
+        for K in (1, 2, 3, 39, 40):
+            assert kernels._recurrence_tables(0.5, K) is first
+        assert builds == [(0.5, 40)]
+
+    def test_growth_is_at_least_twofold(self, builds):
+        kernels._recurrence_tables(1.0, 10)
+        for K in range(11, 21):
+            kernels._recurrence_tables(1.0, K)
+        assert builds == [(1.0, 10), (1.0, 20)]
+
+    def test_least_recently_used_alpha_is_dropped(self, builds):
+        alphas = [float(a) for a in range(kernels._TABLE_ALPHAS + 1)]
+        for a in alphas:
+            kernels._recurrence_tables(a, 5)
+        kernels._recurrence_tables(alphas[1], 5)  # used again: the oldest is now alphas[2]
+        assert len(kernels._tables) == kernels._TABLE_ALPHAS
+        assert alphas[0] not in kernels._tables and alphas[1] in kernels._tables
+        kernels._recurrence_tables(-0.5, 5)
+        assert alphas[2] not in kernels._tables and alphas[1] in kernels._tables

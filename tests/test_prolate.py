@@ -106,6 +106,40 @@ class TestChooseTruncation:
             gpsf.choose_truncation(ProlateChannel(0, c, 0), nmax, 1e-16)
 
 
+class TestEigenvectorLimit:
+    """K * (nmax + 1) eigenvector entries at most 25,000,000, checked before the solve."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        from gpsf import prolate
+
+        calls = []
+
+        def stop(*a, **k):
+            calls.append(len(a[0]))
+            raise RuntimeError("solve reached")
+
+        monkeypatch.setattr(prolate, "eigh_tridiagonal", stop)
+        return calls
+
+    @pytest.mark.parametrize("nmax", [4995, 19000])
+    def test_refused_before_the_solve(self, solves, nmax):
+        with pytest.raises(ValueError, match="eigenvector entries, above the limit of 25000000"):
+            gpsf.solve_channel(ProlateChannel(0, 20.0, 0), nmax)
+        assert solves == []
+
+    def test_explicit_truncation_is_checked(self, solves):
+        with pytest.raises(ValueError, match="needs 2500001 x 10 eigenvector entries"):
+            gpsf.solve_channel(ProlateChannel(0, 20.0, 0), 9, K=2_500_001)
+        assert solves == []
+
+    def test_largest_accepted(self, solves):
+        # K = 5004 and 4995 modes: 24,994,980 entries
+        with pytest.raises(RuntimeError, match="solve reached"):
+            gpsf.solve_channel(ProlateChannel(0, 20.0, 0), 4994)
+        assert solves == [5004]
+
+
 class TestSolveChannel:
     def test_small_bandwidth_eigenvalue(self):
         mode = gpsf.solve_channel(ProlateChannel(0, 1e-3, 0), 0)[0]
