@@ -56,7 +56,6 @@ from .spectrum import (
     lambda_from_beta,
     mu_from_beta,
     mu_sum_check,
-    pair_inner,
     rphi_prime_coeffs,
 )
 

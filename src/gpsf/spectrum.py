@@ -24,7 +24,6 @@ __all__ = [
     "beta_direct",
     "convert_rtprime",
     "rphi_prime_coeffs",
-    "pair_inner",
     "beta_chain",
     "mu_from_beta",
     "lambda_from_beta",
@@ -167,18 +166,6 @@ def _rphi_prime(A: np.ndarray, N: int, p: int) -> np.ndarray:
     return convert_rtprime(A, N, p) - (p + 1) / 2.0 * A
 
 
-def pair_inner(coeffs_a: np.ndarray, coeffs_b: np.ndarray) -> float:
-    """Weighted radial inner product of two same-channel expansions.
-
-    Orthonormality collapses the integral to the coefficient dot product;
-    a shorter vector is padded with zeros.
-    """
-    a = np.asarray(coeffs_a, dtype=float)
-    b = np.asarray(coeffs_b, dtype=float)
-    m = min(len(a), len(b))
-    return float(a[:m] @ b[:m])
-
-
 def beta_chain(
     channel: ProlateChannel,
     kmax: int,
@@ -230,9 +217,10 @@ def _chain(channel: ProlateChannel, modes: list[ZernikeCoeffs], mu_stop: float) 
     out = [triple(0, beta_direct(modes[0]))]
     A = np.vstack([m.coeffs for m in modes])
     X = _rphi_prime(A, N, p)
-    for n in range(len(modes) - 1):
-        num = pair_inner(X[n], modes[n + 1].coeffs)
-        den = pair_inner(X[n + 1], modes[n].coeffs)
+    # I(n, n+1) and I(n+1, n) of every n, each a stacked 1-by-K product, so one dot product
+    nums = (X[:-1, None, :] @ A[1:, :, None])[:, 0, 0].tolist()
+    dens = (X[1:, None, :] @ A[:-1, :, None])[:, 0, 0].tolist()
+    for n, (num, den) in enumerate(zip(nums, dens)):
         if abs(den) < _CHAIN_UNDERFLOW:
             warnings.warn(f"ratio chain truncated at n={n + 1} for channel {channel}: "
                           f"denominator integral {den:.3e}", RuntimeWarning, stacklevel=3)

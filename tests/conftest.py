@@ -20,3 +20,15 @@ class ChannelStore:
 @pytest.fixture(scope="session")
 def channels():
     return ChannelStore()
+
+
+@pytest.fixture
+def eigenvalue_routines(monkeypatch):
+    """Names of the LAPACK eigenvalue routines the eigensolve calls, in order."""
+    from gpsf import prolate
+
+    called = []
+    for name in ("dsterf", "dstebz"):
+        real = getattr(prolate, name)
+        monkeypatch.setattr(prolate, name, lambda *a, _n=name, _f=real: called.append(_n) or _f(*a))
+    return called

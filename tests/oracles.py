@@ -142,3 +142,33 @@ def phi_mp(mode, r):
             * mp.jacobi(k, a, 0, 1 - 2 * r * r)
         )
     return total * r**N
+
+
+def tridiag_eigenvalue_mp(d, e, k):
+    """The k-th lowest eigenvalue (k from 0) of a symmetric tridiagonal matrix.
+
+    Sturm bisection in 40-digit arithmetic on the exact float entries of
+    diagonal ``d`` and off-diagonal ``e``: the number of negative pivots of
+    the LDL^T factorization of T - x counts the eigenvalues below x.
+    """
+    d = [mp.mpf(float(v)) for v in d]
+    e = [mp.mpf(float(v)) for v in e]
+
+    def below(x):
+        count, q = 0, d[0] - x
+        for i in range(1, len(d)):
+            count += q < 0
+            q = d[i] - x - e[i - 1] ** 2 / (q if q != 0 else mp.mpf(10) ** -60)
+        return count + (q < 0)
+
+    # Gershgorin bounds
+    radius = [abs(a) + abs(b) for a, b in zip([0] + e, e + [0])]
+    lo = min(a - r for a, r in zip(d, radius))
+    hi = max(a + r for a, r in zip(d, radius))
+    while hi - lo > abs(hi) * mp.mpf(10) ** -38:
+        mid = (lo + hi) / 2
+        if below(mid) > k:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2

@@ -340,6 +340,16 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_lapack_failure_exit_code(self, capsys, monkeypatch):
+        from gpsf import prolate
+
+        real = prolate.dstein
+        monkeypatch.setattr(prolate, "dstein", lambda *a: (real(*a)[0], 3))
+        code, out, err = run_cli(["eigs", "--p", "0", "--c", "20", "--N", "0", "--nmax", "3"],
+                                 capsys)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "(K=38): dstein returned info=3" in err
+
     def test_argument_error_returns_two(self, capsys):
         # argparse usage errors come back as the return value, not SystemExit
         code, _, err = run_cli(["ball-integrate", "--p", "0", "--c", "20"], capsys)
@@ -408,6 +418,24 @@ class TestExitCodes:
             capsys,
         )
         assert code == 2
+
+
+class TestTinyBandLimit:
+    def test_chain_coefficients_are_not_lost(self, capsys):
+        code, out, err = run_cli(["eigs", "--p", "0", "--c", "1e-9", "--N", "0", "--nmax", "2"],
+                                 capsys)
+        assert code == 0, err
+        beta = [float(row.split(",")[2]) for row in out.splitlines()[1:]]
+        assert beta[1] == pytest.approx(-1e-18 / 96.0, rel=1e-14)
+        assert beta[2] == pytest.approx(1e-36 / 23040.0, rel=1e-14)
+
+    @pytest.mark.parametrize("command", [["eigs", "--N", "0", "--nmax", "2"],
+                                         ["spectrum-check"],
+                                         ["figure-data", "--N", "0,1", "--nmax", "2"]])
+    def test_refused_below_the_floor(self, capsys, command):
+        code, out, err = run_cli([command[0], "--p", "0", "--c", "1e-61"] + command[1:], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "band limit 1e-61 is below 1e-60" in err
 
 
 class TestNonFiniteRequests:

@@ -180,6 +180,61 @@ class TestSolveChannel:
             assert m.phi_at_one() > 0.0
 
 
+class TestEigensolve:
+    """prolate.eigh_tridiagonal: QR or bisection for the eigenvalues, one-block inverse iteration."""
+
+    def test_chi_against_sturm_bisection(self):
+        # the five lowest chi of the solved K-section against 40-digit bisection
+        # of the same float entries
+        ch = ProlateChannel(0, 100.0, 0)
+        modes = gpsf.solve_channel(ch, 68)
+        mat = gpsf.tridiag_matrix(ch, len(modes[0].coeffs))
+        for n in range(5):
+            exact = oracles.tridiag_eigenvalue_mp(mat.diag, mat.offdiag, n)
+            assert abs(float((modes[n].chi - exact) / exact)) <= 5e-15
+
+    @pytest.mark.parametrize("select_range, routine", [((0, 68), "dsterf"), ((0, 9), "dsterf"),
+                                                       ((0, 8), "dstebz"), ((3, 7), "dstebz"),
+                                                       ((20, 40), "dsterf")])
+    def test_both_sides_of_the_size_rule_agree_with_stebz(self, eigenvalue_routines,
+                                                          select_range, routine):
+        # K = 146: QR from 10 eigenvalues on (16 * 10 >= 146), bisection below
+        from scipy.linalg import eigh_tridiagonal as scipy_eigh
+
+        from gpsf import prolate
+
+        mat = gpsf.tridiag_matrix(ProlateChannel(0, 100.0, 0), 146)
+        w, v = prolate.eigh_tridiagonal(mat.diag, mat.offdiag, select="i", select_range=select_range)
+        assert eigenvalue_routines == [routine]
+        w_ref, v_ref = scipy_eigh(mat.diag, mat.offdiag, select="i", select_range=select_range,
+                                  lapack_driver="stebz")
+        assert w.shape == w_ref.shape and v.shape == v_ref.shape
+        assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-13
+        v = v * np.sign(np.sum(v * v_ref, axis=0))
+        assert np.max(np.abs(v - v_ref)) <= 1e-13
+
+    def test_only_index_selection(self):
+        from gpsf import prolate
+
+        mat = gpsf.tridiag_matrix(ProlateChannel(0, 10.0, 0), 30)
+        with pytest.raises(ValueError, match='only select="i"'):
+            prolate.eigh_tridiagonal(mat.diag, mat.offdiag, select="a")
+        with pytest.raises(ValueError, match="out of bounds for a 30-by-30 matrix"):
+            prolate.eigh_tridiagonal(mat.diag, mat.offdiag, select_range=(0, 30))
+
+    @pytest.mark.parametrize("routine, nmax", [("dsterf", 40), ("dstebz", 2), ("dstein", 40),
+                                               ("dstein", 2)])
+    def test_lapack_failure_names_channel_and_truncation(self, monkeypatch, routine, nmax):
+        # K = 146 at (0, 100, 0): nmax 40 takes the QR side, nmax 2 bisection
+        from gpsf import prolate
+
+        real = getattr(prolate, routine)
+        monkeypatch.setattr(prolate, routine, lambda *a: (*real(*a)[:-1], 7))
+        with pytest.raises(gpsf.NumericalError, match=rf"channel ProlateChannel\(p=0, c=100.0, N=0\) "
+                                                      rf"\(K=146\): {routine} returned info=7"):
+            gpsf.solve_channel(ProlateChannel(0, 100.0, 0), nmax)
+
+
 class TestEvalPhi:
     def test_weighted_norm(self, channels):
         mode = channels(0, 20.0, 0, 3)[3]
@@ -345,3 +400,13 @@ class TestNonFiniteBandLimit:
     def test_refused(self, c):
         with pytest.raises(ValueError, match="band limit must be positive and finite"):
             ProlateChannel(0, c, 0)
+
+
+class TestTinyBandLimit:
+    @pytest.mark.parametrize("c", [1e-61, 1e-75, 5e-324])
+    def test_refused_below_the_floor(self, c):
+        with pytest.raises(ValueError, match="is below 1e-60, where the eigenvalue chain"):
+            ProlateChannel(0, c, 0)
+
+    def test_floor_is_accepted(self):
+        assert ProlateChannel(-1, 1e-60, 1).c == 1e-60

@@ -106,28 +106,39 @@ class TestChainIntegrals:
             x, w = oracles.gauss_legendre_01(400)
             for n, m in ((0, 1), (3, 4), (6, 5)):
                 xs = gpsf.rphi_prime_coeffs(modes[n])
-                ours = gpsf.pair_inner(xs, modes[m].coeffs)
+                ours = xs @ modes[m].coeffs
                 dphi = gpsf.eval_phi_deriv(modes[n], x)
                 phim = gpsf.eval_phi(modes[m], x)
                 ref = float(np.sum(w * x * dphi * phim * x ** (p + 1.0)))
                 assert ours == pytest.approx(ref, rel=1e-11, abs=1e-12)
 
+    def test_stacked_products_match_per_pair_dots(self, channels):
+        # the chain takes every I(n, n+1) and I(n+1, n) from two stacked
+        # products; each is the one dot product X[n] @ A[n+1], bit for bit
+        from gpsf import spectrum
 
-class TestPairInner:
-    def test_unit_vector(self):
-        e = np.zeros(6)
-        e[2] = 1.0
-        assert gpsf.pair_inner(e, e) == 1.0
+        for p, c, N in ((-1, 30.0, 1), (0, 100.0, 0), (0, 55.0, 17), (1, 20.0, 4)):
+            ch = ProlateChannel(p, c, N)
+            modes = channels(p, c, N, 40)
+            A = np.vstack([m.coeffs for m in modes])
+            X = spectrum._rphi_prime(A, N, p)
+            betas = [gpsf.beta_direct(modes[0])]
+            for n in range(len(modes) - 1):
+                betas.append(betas[-1] * float(X[n] @ A[n + 1]) / float(X[n + 1] @ A[n]))
+            assert [t.beta for t in spectrum._chain(ch, modes, 0.0)] == betas
 
-    def test_orthogonal_units(self):
-        a = np.zeros(6)
-        b = np.zeros(6)
-        a[1] = 1.0
-        b[4] = 1.0
-        assert gpsf.pair_inner(a, b) == 0.0
 
-    def test_length_mismatch_pads(self):
-        assert gpsf.pair_inner(np.array([1.0, 2.0]), np.array([3.0])) == 3.0
+class TestCoefficientInnerProduct:
+    """The weighted radial inner product of two expansions is their coefficient dot product."""
+
+    def test_basis_orthonormal_under_quadrature(self):
+        from gpsf import kernels
+
+        N, p = 2, 1
+        x, w = oracles.gauss_legendre_01(400)
+        B = kernels.rbar_basis(N + p / 2.0, N, 6, x)
+        gram = (B * (w * x ** (p + 1.0))) @ B.T
+        assert np.max(np.abs(gram - np.eye(6))) <= 1e-12
 
     def test_against_quadrature(self):
         from gpsf import kernels
@@ -139,7 +150,7 @@ class TestPairInner:
         x, w = oracles.gauss_legendre_01(400)
         B = kernels.rbar_basis(N + p / 2.0, N, 5, x)
         val = float(np.sum(w * (a @ B) * (b @ B) * x ** (p + 1.0)))
-        assert gpsf.pair_inner(a, b) == pytest.approx(val, abs=1e-12)
+        assert a @ b == pytest.approx(val, abs=1e-12)
 
 
 class TestBetaChain:
@@ -172,6 +183,37 @@ class TestBetaChain:
         chain = gpsf.beta_chain(ProlateChannel(0, 100.0, 10), len(pts) - 1)
         for i, ref in enumerate(pts):
             assert abs(chain[i].lam) == pytest.approx(ref, rel=2e-12)
+
+
+class TestTinyBandLimits:
+    """Down to c = 1e-60 the coefficients near c^2 / gap keep the chain's digits."""
+
+    @pytest.mark.parametrize("c", [1e-9, 1e-30, 1e-50])
+    @pytest.mark.parametrize("kmax, routine", [(1, "dstebz"), (2, "dsterf")])
+    def test_closed_forms(self, eigenvalue_routines, c, kmax, routine):
+        # K = 37: two modes are found by bisection, three by QR; the c^2 and
+        # c^4 terms of beta_1 and beta_2 at (p=0, N=0)
+        chain = gpsf.beta_chain(ProlateChannel(0, c, 0), kmax)
+        assert eigenvalue_routines == [routine]
+        assert chain[0].beta == pytest.approx(0.5, rel=1e-15, abs=0.0)
+        assert chain[1].beta == pytest.approx(-c * c / 96.0, rel=1e-14, abs=0.0)
+        if kmax == 2:
+            assert chain[2].beta == pytest.approx(c**4 / 23040.0, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("p, N", [(-1, 0), (-1, 1), (0, 0), (0, 1), (0, 3), (1, 0), (1, 1),
+                                      (1, 3)])
+    def test_floor_keeps_the_small_c_scaling(self, p, N):
+        # beta_n scales as c^(N+2n) at small c: from c = 1e-20 to the floor
+        # 1e-60 every beta in the normal float range keeps it to 1e-12
+        ref = gpsf.beta_chain(ProlateChannel(p, 1e-20, N), 2)
+        floor = gpsf.beta_chain(ProlateChannel(p, 1e-60, N), 2)
+        for n in range(3):
+            log_expected = math.log(abs(ref[n].beta)) - 40.0 * (N + 2 * n) * math.log(10.0)
+            if log_expected < math.log(1e-290):
+                assert abs(floor[n].beta) < 1e-280
+                continue
+            assert math.copysign(1.0, floor[n].beta) == math.copysign(1.0, ref[n].beta)
+            assert abs(math.log(abs(floor[n].beta)) - log_expected) <= 1e-12
 
 
 class TestEigenTripleStructure:
