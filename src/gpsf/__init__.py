@@ -5,6 +5,8 @@ eigenvalues, quadrature rules for band-limited functions, and expansion
 (interpolation) of band-limited functions in the eigenbasis.
 """
 
+from types import ModuleType as _ModuleType
+
 from .ballquad import (
     AngularRule,
     BallRule,
@@ -15,14 +17,12 @@ from .ballquad import (
     surface_area,
     surface_harmonic,
     surface_harmonics,
-    tensor_rule,
     truncation_bound,
 )
 from .interp import (
     ChannelCache,
     GpsfExpansion,
     coeff_bound,
-    expansion_to_json,
     recover_coeffs,
     sampling_rule,
     synthesize,
@@ -31,20 +31,15 @@ from .prolate import (
     NumericalError,
     ProlateChannel,
     RadialModeId,
-    TridiagSym,
     ZernikeCoeffs,
     choose_truncation,
-    chi_zero,
     eval_phi,
     eval_phi_and_deriv,
     eval_phi_deriv,
-    mode_from_json,
-    mode_to_json,
     solve_channel,
-    tridiag_entries,
     tridiag_matrix,
 )
-from .quadrature import QuadratureRule1D, chebyshev_rule, gaussian_rule, rule_to_csv, rule_to_json
+from .quadrature import QuadratureRule1D, chebyshev_rule, gaussian_rule
 from .roots import find_roots
 from .spectrum import (
     EigenTriple,
@@ -61,4 +56,6 @@ from .spectrum import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the functions and classes above; the submodules that importing them binds are left out
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

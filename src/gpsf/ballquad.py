@@ -27,7 +27,6 @@ __all__ = [
     "angular_rule_from_count",
     "angular_node_count",
     "check_node_count",
-    "tensor_rule",
     "integrate_exponential",
     "truncation_bound",
     "surface_area",
@@ -171,11 +170,6 @@ def _sphere_rule(m_azimuth: int) -> AngularRule:
         pts[sl, 2] = u[i]
         w[sl] = gw[i] * 2.0 * math.pi / m_azimuth
     return AngularRule(1, pts, w)
-
-
-def tensor_rule(radial: QuadratureRule1D, angular: AngularRule) -> BallRule:
-    """Combine a radial and an angular rule into a ball rule."""
-    return BallRule(radial, angular)
 
 
 def integrate_exponential(rule: BallRule, x, c: float) -> complex:

@@ -17,10 +17,10 @@ import warnings
 import numpy as np
 import scipy.special as sps
 
-from .ballquad import angular_rule_from_count, check_node_count, integrate_exponential, tensor_rule
+from .ballquad import BallRule, angular_rule_from_count, check_node_count, integrate_exponential
 from .interp import ChannelCache, recover_coeffs, sampling_rule
 from .prolate import NumericalError, ProlateChannel, eval_phi, eval_phi_deriv, solve_channel
-from .quadrature import chebyshev_rule, gaussian_rule, rule_to_csv, rule_to_json
+from .quadrature import chebyshev_rule, gaussian_rule
 from .roots import find_roots
 from .spectrum import beta_chain, harmonic_count, mu_sum_check
 
@@ -31,17 +31,14 @@ class ValidationError(ValueError):
     pass
 
 
-def _emit(args, text: str) -> None:
+def _write(args, header, rows, payload) -> None:
+    """Write ``rows`` under ``header`` as CSV, or ``payload`` as JSON with --format json."""
+    text = json.dumps(payload) + "\n" if args.format == "json" else _csv(rows, header)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _write(args, header, rows, payload) -> None:
-    """Emit ``rows`` under ``header`` as CSV, or ``payload`` as JSON with --format json."""
-    _emit(args, json.dumps(payload) + "\n" if args.format == "json" else _csv(rows, header))
 
 
 def _csv(rows, header) -> str:
@@ -118,7 +115,9 @@ def _cmd_roots(args) -> None:
 def _cmd_quad(args, kind: str) -> None:
     ch = ProlateChannel(args.p, args.c, 0)
     rule = chebyshev_rule(ch, args.n) if kind == "cheb" else gaussian_rule(ch, args.n)
-    _emit(args, rule_to_json(rule) + "\n" if args.format == "json" else rule_to_csv(rule))
+    _write(args, ["node", "weight"], zip(rule.nodes, rule.weights),
+           {"p": ch.p, "c": ch.c, "kind": rule.kind, "n": len(rule.nodes), "exactness": rule.exactness,
+            "nodes": rule.nodes.tolist(), "weights": rule.weights.tolist()})
 
 
 def _cmd_ball_integrate(args) -> None:
@@ -130,8 +129,7 @@ def _cmd_ball_integrate(args) -> None:
     check_node_count(f"ball rule for p={args.p}, c={args.c:g}", args.p, count, args.angular)
     angular = angular_rule_from_count(args.p, args.angular)  # refuses a bad count before the solve
     radial = chebyshev_rule(ch, count) if kind == "cheb" else gaussian_rule(ch, count)
-    rule = tensor_rule(radial, angular)
-    val = integrate_exponential(rule, x, args.c)
+    val = integrate_exponential(BallRule(radial, angular), x, args.c)
     ref = _closed_form_exponential(args.p, args.c, x)
     rel = abs(val - ref) / abs(ref) if ref != 0 else float("nan")
     header, row = ["value_re", "value_im", "rel_err_vs_reference"], (val.real, val.imag, rel)

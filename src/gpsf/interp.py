@@ -10,7 +10,6 @@ the equispaced angles.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +20,6 @@ from .ballquad import (
     angular_rule_from_count,
     check_node_count,
     surface_harmonics,
-    tensor_rule,
     truncation_bound,
 )
 from .prolate import ProlateChannel, ZernikeCoeffs, solve_channel, tabulate
@@ -35,7 +33,6 @@ __all__ = [
     "recover_coeffs",
     "synthesize",
     "coeff_bound",
-    "expansion_to_json",
 ]
 
 _RELIABLE_FLOOR = 1e-3 * np.finfo(float).eps
@@ -98,7 +95,8 @@ def sampling_rule(
     size is checked before any channel is solved, with eleven radial nodes
     (the fewest the default count gives) standing in for a radial count
     still to be found, and checked again once that count is known, before
-    any rule is built.
+    the radial rule is built.  The angular rule is built between the two
+    checks, so a nonpositive angular count is refused before any solve.
     """
     channel = ProlateChannel(p, 2.0 * c, 0)
     if angular_count is None:
@@ -106,13 +104,13 @@ def sampling_rule(
     # the default radial count is at least _default_radial_count(1)
     what = f"sampling rule for p={p}, c={c:g}"
     check_node_count(what, p, radial_count or _default_radial_count(1), angular_count)
+    angular = angular_rule_from_count(p, angular_count)  # refuses a bad count before any solve
     if radial_count is None:
         # significant radial modes end a little past the transition index
         triples = beta_chain(channel, int(channel.c / 2) + 40, mu_stop=1e-18)
         radial_count = _default_radial_count(len(triples))
         check_node_count(what, p, radial_count, angular_count)
-    radial = gaussian_rule(channel, radial_count)
-    return tensor_rule(radial, angular_rule_from_count(p, angular_count))
+    return BallRule(gaussian_rule(channel, radial_count), angular)
 
 
 def _default_radial_count(modes: int) -> int:
@@ -306,17 +304,3 @@ def coeff_bound(sigma_l2: float, triple: EigenTriple) -> float:
     if sigma_l2 < 0.0:
         raise ValueError("sigma_l2 must be nonnegative")
     return abs(triple.lam) * sigma_l2
-
-
-def expansion_to_json(expansion: GpsfExpansion) -> str:
-    """JSON export {p, c, modes: [{N, l, n, re, im}]}."""
-    return json.dumps(
-        {
-            "p": expansion.p,
-            "c": expansion.c,
-            "modes": [
-                {"N": N, "l": ell, "n": n, "re": coeff.real, "im": coeff.imag}
-                for (N, ell, n), coeff in sorted(expansion.terms.items())
-            ],
-        }
-    )

@@ -14,7 +14,6 @@ on [0, 1].
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -26,11 +25,8 @@ from . import kernels
 __all__ = [
     "ProlateChannel",
     "RadialModeId",
-    "chi_zero",
-    "TridiagSym",
     "ZernikeCoeffs",
     "NumericalError",
-    "tridiag_entries",
     "tridiag_matrix",
     "choose_truncation",
     "solve_channel",
@@ -38,8 +34,6 @@ __all__ = [
     "eval_phi",
     "eval_phi_deriv",
     "eval_phi_and_deriv",
-    "mode_to_json",
-    "mode_from_json",
 ]
 
 _SAFETY_MARGIN = 10  # extra basis functions beyond the decay bound
@@ -114,30 +108,6 @@ class RadialModeId:
         return self.N + self.p / 2.0
 
 
-def chi_zero(mode: RadialModeId) -> float:
-    """Zero-bandwidth eigenvalue ``(N+p/2+2n+1/2)(N+p/2+2n+3/2)``."""
-    s = mode.alpha + 2.0 * mode.n
-    return (s + 0.5) * (s + 1.5)
-
-
-@dataclass(frozen=True)
-class TridiagSym:
-    """Symmetric tridiagonal matrix (main diagonal plus one off-diagonal)."""
-
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def __post_init__(self):
-        if len(self.diag) < 1 or len(self.offdiag) != len(self.diag) - 1:
-            raise ValueError("offdiag must be one entry shorter than diag")
-        if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.offdiag))):
-            raise ValueError("matrix entries must be finite")
-
-    @property
-    def size(self) -> int:
-        return len(self.diag)
-
-
 @dataclass(frozen=True)
 class ZernikeCoeffs:
     """One solved radial mode: eigenvalue chi and Zernike coefficients.
@@ -156,12 +126,6 @@ class ZernikeCoeffs:
     @property
     def mode_id(self) -> RadialModeId:
         return self.channel.mode_id(self.n)
-
-    def phi(self, r):
-        return eval_phi(self, r)
-
-    def phi_deriv(self, r):
-        return eval_phi_deriv(self, r)
 
     def phi_at_one(self) -> float:
         return float(self.coeffs @ _phi_one_weights(self.channel, len(self.coeffs)))
@@ -182,35 +146,26 @@ def _diag_and_super(channel: ProlateChannel, rows: np.ndarray) -> tuple[np.ndarr
     al, c2, k = channel.alpha, channel.c * channel.c, rows.astype(float)
     t = 2.0 * k + al
     shift = 0.0 if al == 0.0 else c2 * al * al / (2.0 * t * (t + 2.0))
-    b = shift + 0.5 * c2 + (t + 0.5) * (t + 1.5)  # chi_zero(row) = (t + 1/2)(t + 3/2)
+    b = shift + 0.5 * c2 + (t + 0.5) * (t + 1.5)  # chi at c = 0: (t + 1/2)(t + 3/2)
     cx = c2 * (k + 1.0 + al) * (k + 1.0) / ((t + 2.0) * np.sqrt(t + 3.0) * np.sqrt(t + 1.0))
     return b, cx
 
 
-def tridiag_entries(channel: ProlateChannel, row: int) -> tuple[float, float, float]:
-    """Entries (a_row, b_row, c_row) of the tridiagonal operator matrix.
+def tridiag_matrix(channel: ProlateChannel, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Upper-left K-by-K section of the operator matrix: (diagonal, off-diagonal).
 
-    ``b_row`` is the diagonal, ``c_row`` the superdiagonal and ``a_row``
-    the subdiagonal (zero and unused for row 0; equals ``c_{row-1}``
-    otherwise).  In the zero-bandwidth limit the diagonal reduces to the
-    classical eigenvalues and the off-diagonals vanish.
-
-    Note: the diagonal is chi_{N,row}(0) plus c^2 times the (positive
-    definite) diagonal part of multiplication by r^2, and the
-    off-diagonals are positive; with this orientation the matrix
-    eigenvalues are the chi_{N,n}(c), ascending, and the eigenvectors are
-    the Zernike coefficient vectors of Phi_{N,n}.
+    The diagonal is chi_{N,k}(0) = (N+p/2+2k+1/2)(N+p/2+2k+3/2) plus c^2
+    times the (positive definite) diagonal of multiplication by r^2, and
+    the off-diagonal entries are positive, so the eigenvalues are the
+    chi_{N,n}(c), ascending, and the eigenvectors the Zernike coefficient
+    vectors of Phi_{N,n}.  A non-finite entry (at a huge c) raises
+    ``ValueError``.
     """
-    if row < 0:
-        raise ValueError("row must be nonnegative")
-    b, cx = _diag_and_super(channel, np.arange(max(row - 1, 0), row + 1))
-    return (float(cx[0]) if row > 0 else 0.0), float(b[-1]), float(cx[-1])
-
-
-def tridiag_matrix(channel: ProlateChannel, K: int) -> TridiagSym:
-    """Upper-left K-by-K section of the operator matrix."""
     b, cx = _diag_and_super(channel, np.arange(K))
-    return TridiagSym(b, cx[:-1])
+    offdiag = cx[:-1]
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(offdiag))):
+        raise ValueError("matrix entries must be finite")
+    return b, offdiag
 
 
 def choose_truncation(channel: ProlateChannel, nmax: int, eps: float) -> int:
@@ -317,11 +272,9 @@ def solve_channel(
         raise ValueError(f"{channel} with nmax={nmax} needs {K} x {nmax + 1} eigenvector entries, "
                          f"above the limit of {_MAX_VECTOR_ENTRIES}")
     for step in range(_MAX_ENLARGEMENTS + 1):
-        mat = tridiag_matrix(channel, K)
+        diag, offdiag = tridiag_matrix(channel, K)
         try:
-            chis, vecs = eigh_tridiagonal(
-                mat.diag, mat.offdiag, select="i", select_range=(0, nmax)
-            )
+            chis, vecs = eigh_tridiagonal(diag, offdiag, select="i", select_range=(0, nmax))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"tridiagonal eigensolver failed for channel {channel} (K={K}): {exc}"
@@ -391,28 +344,3 @@ def eval_phi(mode: ZernikeCoeffs, r):
 def eval_phi_deriv(mode: ZernikeCoeffs, r):
     """Evaluate dPhi_{N,n}/dr, term-wise on the Zernike expansion."""
     return eval_phi_and_deriv(mode, r)[1]
-
-
-def mode_to_json(mode: ZernikeCoeffs) -> str:
-    """Serialize a solved mode; floats round-trip exactly."""
-    return json.dumps(
-        {
-            "p": mode.channel.p,
-            "c": mode.channel.c,
-            "N": mode.channel.N,
-            "n": mode.n,
-            "chi": mode.chi,
-            "coeffs": mode.coeffs.tolist(),
-        }
-    )
-
-
-def mode_from_json(text: str) -> ZernikeCoeffs:
-    """Inverse of :func:`mode_to_json`."""
-    d = json.loads(text)
-    return ZernikeCoeffs(
-        ProlateChannel(d["p"], d["c"], d["N"]),
-        d["n"],
-        d["chi"],
-        np.asarray(d["coeffs"], dtype=float),
-    )

@@ -9,7 +9,6 @@ half-band-limit interpolatory rule.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from scipy.linalg import lstsq
 from .prolate import NumericalError, ProlateChannel, ZernikeCoeffs, solve_channel, tabulate
 from .roots import find_roots
 
-__all__ = ["QuadratureRule1D", "chebyshev_rule", "gaussian_rule", "rule_to_csv", "rule_to_json"]
+__all__ = ["QuadratureRule1D", "chebyshev_rule", "gaussian_rule"]
 
 _WEIGHT_RESIDUAL_TOL = 1e-10
 _HALVINGS_MAX = 40
@@ -151,26 +150,3 @@ def gaussian_rule(channel: ProlateChannel, n: int) -> QuadratureRule1D:
             break
     order = np.argsort(r)
     return QuadratureRule1D(r[order], w[order], "gaussian", channel, 2 * n - 1)
-
-
-def rule_to_csv(rule: QuadratureRule1D) -> str:
-    """CSV export with 17 significant digits per entry."""
-    lines = ["node,weight"]
-    for x, w in zip(rule.nodes, rule.weights):
-        lines.append(f"{x:.17g},{w:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def rule_to_json(rule: QuadratureRule1D) -> str:
-    """JSON export including the rule metadata."""
-    return json.dumps(
-        {
-            "p": rule.channel.p,
-            "c": rule.channel.c,
-            "kind": rule.kind,
-            "n": len(rule.nodes),
-            "exactness": rule.exactness,
-            "nodes": rule.nodes.tolist(),
-            "weights": rule.weights.tolist(),
-        }
-    )

@@ -131,7 +131,8 @@ def convert_rtprime(coeffs: np.ndarray, N: int, p: int) -> np.ndarray:
     ``sigma_i = sum_{j>=i} x_j`` (in the unnormalized scaling) the output
     T-coefficient at i is ``sigma_i (nu+2i) + sigma_{i+1} (nu+2i+1)``.
     The orthonormal rescaling is applied on the way in and out.  A 2-D
-    input holds one expansion per row.
+    input holds one expansion per row.  The work is done in place on two
+    arrays of the input's shape that the function allocates itself.
     """
     x = np.asarray(coeffs, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] == 0:
@@ -142,12 +143,14 @@ def convert_rtprime(coeffs: np.ndarray, N: int, p: int) -> np.ndarray:
     scale = np.sqrt(2.0 * (2.0 * k + al + 1.0))
     if not np.all(scale > 0.0):
         raise NumericalError("degenerate leading coupling coefficient")
-    xh = x * scale
-    sigma = np.cumsum(xh[..., ::-1], axis=-1)[..., ::-1]
-    sigma_next = np.zeros_like(sigma)
-    sigma_next[..., :-1] = sigma[..., 1:]
-    y = sigma * (nu + 2.0 * k) + sigma_next * (nu + 2.0 * k + 1.0)
-    return y / scale
+    y = x * scale
+    np.cumsum(y[..., ::-1], axis=-1, out=y[..., ::-1])  # y holds sigma
+    nxt = y[..., 1:] * (nu + 2.0 * k[:-1] + 1.0)
+    y *= nu + 2.0 * k
+    y[..., :-1] += nxt
+    y[..., -1] += 0.0  # the sigma past the end is 0: a -0.0 turns +0.0, as in the two-term sum
+    y /= scale
+    return y
 
 
 def rphi_prime_coeffs(mode: ZernikeCoeffs) -> np.ndarray:
@@ -163,7 +166,9 @@ def rphi_prime_coeffs(mode: ZernikeCoeffs) -> np.ndarray:
 
 def _rphi_prime(A: np.ndarray, N: int, p: int) -> np.ndarray:
     # r Phi' of the expansion in A, or of each of its rows (see rphi_prime_coeffs)
-    return convert_rtprime(A, N, p) - (p + 1) / 2.0 * A
+    X = convert_rtprime(A, N, p)
+    X -= (p + 1) / 2.0 * A
+    return X
 
 
 def beta_chain(

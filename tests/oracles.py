@@ -12,6 +12,8 @@ import numpy as np
 import scipy.integrate
 import scipy.special
 
+from gpsf.prolate import eval_phi
+
 mp.mp.dps = 40
 
 
@@ -96,7 +98,7 @@ def h_apply_quad(mode, r):
 
     def integrand(rho):
         kern = scipy.special.jv(nu, c * r * rho) / (c * r * rho) ** (p / 2.0)
-        return kern * mode.phi(rho) * rho ** (p + 1.0)
+        return kern * eval_phi(mode, rho) * rho ** (p + 1.0)
 
     with warnings.catch_warnings():
         # tolerances are intentionally at the round-off floor

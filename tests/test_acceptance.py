@@ -32,7 +32,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 def _disk_rule(kind, c, n_radial, m_angular):
     ch = ProlateChannel(0, c, 0)
     radial = gpsf.chebyshev_rule(ch, n_radial) if kind == "cheb" else gpsf.gaussian_rule(ch, n_radial)
-    return gpsf.tensor_rule(radial, gpsf.angular_rule_from_count(0, m_angular))
+    return gpsf.BallRule(radial, gpsf.angular_rule_from_count(0, m_angular))
 
 
 X_POINT = np.array([0.9, 0.2])

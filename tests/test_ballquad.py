@@ -118,27 +118,27 @@ class TestPolarGaussLegendre:
 class TestTensorRule:
     def test_node_count(self):
         radial = gpsf.chebyshev_rule(ProlateChannel(0, 20.0, 0), 14)
-        rule = gpsf.tensor_rule(radial, gpsf.angular_rule_from_count(0, 50))
+        rule = gpsf.BallRule(radial, gpsf.angular_rule_from_count(0, 50))
         assert rule.count == 700
         assert rule.nodes().shape == (700, 2)
 
     def test_constant_integrates_to_volume(self):
         for p, count in ((0, 40), (1, 30)):
             radial = gpsf.gaussian_rule(ProlateChannel(p, 20.0, 0), 10)
-            rule = gpsf.tensor_rule(radial, gpsf.angular_rule_from_count(p, count))
+            rule = gpsf.BallRule(radial, gpsf.angular_rule_from_count(p, count))
             total = float(np.sum(rule.weights()))
             assert total == pytest.approx(gpsf.ball_volume(p), rel=1e-12)
 
     def test_dimension_mismatch(self):
         radial = gpsf.chebyshev_rule(ProlateChannel(0, 20.0, 0), 6)
         with pytest.raises(ValueError):
-            gpsf.tensor_rule(radial, gpsf.angular_rule_from_count(1, 10))
+            gpsf.BallRule(radial, gpsf.angular_rule_from_count(1, 10))
 
 
 class TestIntegrateExponential:
     def test_disk_reference_value(self):
         radial = gpsf.chebyshev_rule(ProlateChannel(0, 20.0, 0), 14)
-        rule = gpsf.tensor_rule(radial, gpsf.angular_rule_from_count(0, 50))
+        rule = gpsf.BallRule(radial, gpsf.angular_rule_from_count(0, 50))
         val = gpsf.integrate_exponential(rule, [0.9, 0.2], 20.0)
         exact = DISK_INTEGRAL_EXACT[20.0]
         assert abs(val.real - exact) / abs(exact) <= 1e-13
@@ -153,7 +153,7 @@ class TestIntegrateExponential:
         nx = float(np.linalg.norm(x))
         exact = (2.0 * math.pi / c) ** 1.5 * sps.jv(1.5, c * nx) / nx**1.5
         radial = gpsf.gaussian_rule(ProlateChannel(1, c, 0), 12)
-        rule = gpsf.tensor_rule(radial, gpsf.angular_rule_from_count(1, 40))
+        rule = gpsf.BallRule(radial, gpsf.angular_rule_from_count(1, 40))
         val = gpsf.integrate_exponential(rule, x, c)
         assert val.real == pytest.approx(exact, rel=1e-12)
         assert abs(val.imag) < 1e-15
@@ -164,13 +164,13 @@ class TestIntegrateExponential:
         x = 0.77
         exact = 2.0 * math.sin(c * x) / (c * x)
         radial = gpsf.gaussian_rule(ProlateChannel(-1, c, 0), 12)
-        rule = gpsf.tensor_rule(radial, gpsf.angular_rule_from_count(-1, 2))
+        rule = gpsf.BallRule(radial, gpsf.angular_rule_from_count(-1, 2))
         val = gpsf.integrate_exponential(rule, [x], c)
         assert val.real == pytest.approx(exact, rel=1e-12)
 
     def test_rotation_invariance(self):
         radial = gpsf.chebyshev_rule(ProlateChannel(0, 20.0, 0), 14)
-        rule = gpsf.tensor_rule(radial, gpsf.angular_rule_from_count(0, 50))
+        rule = gpsf.BallRule(radial, gpsf.angular_rule_from_count(0, 50))
         x = np.array([0.9, 0.2])
         a = gpsf.integrate_exponential(rule, x, 20.0)
         for ang in (0.3, 1.1, 2.0):
@@ -185,7 +185,7 @@ class TestIntegrateExponential:
         exact = DISK_INTEGRAL_EXACT[20.0]
         errs = {}
         for m in (30, 50):
-            rule = gpsf.tensor_rule(radial, gpsf.angular_rule_from_count(0, m))
+            rule = gpsf.BallRule(radial, gpsf.angular_rule_from_count(0, m))
             val = gpsf.integrate_exponential(rule, [0.9, 0.2], 20.0)
             errs[m] = abs(val.real - exact) / abs(exact)
         assert errs[30] > 1e-6
@@ -200,7 +200,7 @@ class TestIntegrateExponential:
         coeffs = rng.normal(size=len(terms))
         chain = {N: gpsf.beta_chain(ProlateChannel(0, c, N), 3) for N in range(4)}
         radial = gpsf.chebyshev_rule(ProlateChannel(0, c, 0), 14)
-        rule = gpsf.tensor_rule(radial, gpsf.angular_rule_from_count(0, 50))
+        rule = gpsf.BallRule(radial, gpsf.angular_rule_from_count(0, 50))
         pts = rule.nodes()
         rr = np.linalg.norm(pts, axis=1)
         f = np.zeros(rule.count, dtype=complex)

@@ -1,11 +1,14 @@
-"""The names the benchmark's tracer wraps and reports must exist.
+"""The names the benchmark's tracer wraps and its workloads call must exist.
 
 ``perfbench/tracer.py`` wraps gpsf functions by module and attribute name,
-and ``BENCHMARK.json`` declares the per-layer metrics it reports; renaming or
-deleting a wrapped function breaks the benchmark without failing any other
-test.  The tracer is loaded from its file and not modified.
+``perfbench/workloads.py`` calls gpsf through module aliases, and
+``BENCHMARK.json`` declares the per-layer metrics the tracer reports;
+renaming or deleting one of those names breaks the benchmark without
+failing any other test.  The tracer is loaded from its file and the
+workloads are only parsed; neither is modified.
 """
 
+import ast
 import importlib
 import json
 import types
@@ -35,3 +38,31 @@ def test_every_target_resolves(module, attr):
 def test_layer_metrics_match_benchmark_declaration():
     declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     assert [name for name, _, _ in TRACER.LAYER_METRICS] == declared
+
+
+def _workload_attributes():
+    # (gpsf submodule, attribute) for every alias.attr in workloads.py whose alias is
+    # bound by "import gpsf.<module> as <alias>"
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    aliases = {a.asname or a.name: a.name.removeprefix("gpsf.")
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name.startswith("gpsf.")}
+    return sorted({(aliases[node.value.id], node.attr) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in aliases})
+
+
+WORKLOAD_ATTRIBUTES = _workload_attributes()
+
+
+def test_workload_attributes_are_found():
+    assert {("ballquad", "surface_harmonic"), ("prolate", "eval_phi"),
+            ("spectrum", "harmonic_count"), ("interp", "sampling_rule"),
+            ("interp", "ChannelCache"), ("interp", "recover_coeffs"),
+            ("interp", "GpsfExpansion"), ("interp", "synthesize"),
+            ("cli", "main")} <= set(WORKLOAD_ATTRIBUTES)
+
+
+@pytest.mark.parametrize("module, attr", WORKLOAD_ATTRIBUTES)
+def test_every_workload_attribute_resolves(module, attr):
+    assert hasattr(importlib.import_module("gpsf." + module), attr)

@@ -156,6 +156,42 @@ class TestDeterminism:
         assert target.read_text().startswith("node,weight\n")
 
 
+class TestQuadExport:
+    """quad-cheb and quad-gauss: 17 significant digits in CSV, the rule's metadata in JSON."""
+
+    def test_csv_shape_and_precision(self, capsys):
+        import gpsf
+
+        code, out, _ = run_cli(["quad-cheb", "--p", "0", "--c", "10", "--n", "6"], capsys)
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "node,weight" and len(lines) == 7
+        rule = gpsf.chebyshev_rule(gpsf.ProlateChannel(0, 10.0, 0), 6)
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        # 17 significant digits round-trip every node and weight
+        assert np.array_equal(table[:, 0], rule.nodes) and np.array_equal(table[:, 1], rule.weights)
+
+    def test_json_metadata(self, capsys):
+        import gpsf
+
+        code, out, _ = run_cli(["quad-gauss", "--p", "0", "--c", "10", "--n", "5", "--format", "json"],
+                               capsys)
+        assert code == 0 and out.endswith("}\n")
+        d = json.loads(out)
+        rule = gpsf.gaussian_rule(gpsf.ProlateChannel(0, 10.0, 0), 5)
+        assert d["kind"] == "gaussian"
+        assert d["p"] == 0 and d["c"] == 10.0 and d["n"] == 5
+        assert d["exactness"] == 9
+        assert np.array_equal(d["nodes"], rule.nodes) and np.array_equal(d["weights"], rule.weights)
+
+    def test_deterministic(self, capsys):
+        for command in ("quad-cheb", "quad-gauss"):
+            for fmt in ("csv", "json"):
+                args = [command, "--p", "0", "--c", "10", "--n", "5", "--format", fmt]
+                first, second = run_cli(args, capsys), run_cli(args, capsys)
+                assert first == second and first[0] == 0
+
+
 class TestInterpCommand:
     def test_coefficients_emitted(self, capsys):
         code, out, _ = run_cli(
@@ -408,6 +444,20 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "gaussian_rule", no_rule)
         code, out, err = run_cli(["ball-integrate", "--p", "0", "--c", "20", "--x", "0.1,0.2",
                                   "--radial", "gauss:10", "--angular", "0"], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "angular count must be positive" in err
+
+    @pytest.mark.parametrize("count", ["0", "-4"])
+    def test_interp_angular_count_checked_before_any_solve(self, capsys, monkeypatch, count):
+        from gpsf import interp
+
+        def no_solve(*a, **k):
+            raise AssertionError("a channel was solved before the angular count was checked")
+
+        for name in ("beta_chain", "gaussian_rule"):
+            monkeypatch.setattr(interp, name, no_solve)
+        code, out, err = run_cli(["interp", "--p", "0", "--c", "200", "--x", "0.3,0.4",
+                                  "--Nmax", "1", "--nmax", "1", "--angular-count", count], capsys)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "angular count must be positive" in err
 

@@ -6,9 +6,9 @@ import pytest
 import scipy.special
 
 import gpsf
-from gpsf import interp, kernels, prolate
+from gpsf import cli, interp, kernels, prolate
 from gpsf.ballquad import surface_harmonic
-from gpsf.interp import ChannelCache, expansion_to_json
+from gpsf.interp import ChannelCache
 from gpsf.prolate import ProlateChannel
 
 from golden import COEFF_TABLES
@@ -476,12 +476,19 @@ class TestCoeffBound:
 
 
 class TestExport:
-    def test_json_round_trip_fields(self):
-        exp = gpsf.GpsfExpansion(0, 10.0, {(1, 2, 3): 0.25 - 0.5j, (0, 1, 0): 1.0 + 0.0j})
-        d = json.loads(expansion_to_json(exp))
+    def test_json_round_trip_fields(self, capsys):
+        # interp --format json writes {p, c, modes: [{N, l, n, re, im}]}, sorted, exactly
+        args = ["interp", "--p", "0", "--c", "10", "--x", "0.3,0.4", "--Nmax", "1", "--nmax", "2",
+                "--radial-count", "12", "--angular-count", "40", "--format", "json"]
+        assert cli.main(args) == 0
+        d = json.loads(capsys.readouterr().out)
+        modes = [(N, ell, n) for N in range(2) for ell in range(1, 1 + min(N + 1, 2))
+                 for n in range(3)]
+        rule = _rule(0, 10.0, 12, 40)
+        exp = gpsf.recover_coeffs(rule, np.exp(1j * 10.0 * (rule.nodes() @ [0.3, 0.4])), 10.0, modes)
         assert d["p"] == 0 and d["c"] == 10.0
-        assert d["modes"][0] == {"N": 0, "l": 1, "n": 0, "re": 1.0, "im": 0.0}
-        assert d["modes"][1] == {"N": 1, "l": 2, "n": 3, "re": 0.25, "im": -0.5}
+        assert d["modes"] == [{"N": N, "l": ell, "n": n, "re": a.real, "im": a.imag}
+                              for (N, ell, n), a in sorted(exp.terms.items())]
 
 
 class TestSamplingRuleSizeGuard:
@@ -508,11 +515,15 @@ class TestSamplingRuleSizeGuard:
             gpsf.sampling_rule(p, c, radial_count=radial, angular_count=angular)
 
     def test_refused_once_the_radial_count_is_known(self, monkeypatch):
-        # 11 x 300000 nodes pass the first check; the chain's 200 modes give 110 radial nodes
+        # 11 x 300000 nodes pass the first check, and the angular rule is built (here a
+        # stand-in); the chain's 200 modes give 110 radial nodes
         self._no_compute(monkeypatch)
+        built = []
+        monkeypatch.setattr(interp, "angular_rule_from_count", lambda p, m: built.append(m))
         monkeypatch.setattr(interp, "beta_chain", lambda *a, **k: [None] * 200)
         with pytest.raises(ValueError, match="110 radial, angular count 300000"):
             gpsf.sampling_rule(0, 10.0, angular_count=300000)
+        assert built == [300000]
 
     def test_limit_is_inclusive(self):
         gpsf.ballquad.check_node_count("rule", 0, 400, 10000)

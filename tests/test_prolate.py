@@ -4,35 +4,44 @@ import numpy as np
 import pytest
 
 import gpsf
-from gpsf.prolate import ProlateChannel, RadialModeId, mode_from_json, mode_to_json
+from gpsf.prolate import ProlateChannel, RadialModeId
 
 import oracles
 
 
+def _zero_bandwidth_chi(p, N, n):
+    # chi_{N,n}(0) = (N+p/2+2n+1/2)(N+p/2+2n+3/2)
+    s = N + p / 2.0 + 2.0 * n
+    return (s + 0.5) * (s + 1.5)
+
+
 class TestTridiagEntries:
     def test_zero_bandwidth_limit(self):
-        ch = ProlateChannel(0, 1e-8, 2)
-        for row in range(8):
-            a, b, c = gpsf.tridiag_entries(ch, row)
-            assert b == pytest.approx(gpsf.chi_zero(ch.mode_id(row)), rel=1e-12)
-            assert abs(c) < 1e-14
-            assert abs(a) < 1e-14
+        # at c = 1e-9 the c^2 terms are below the diagonal's ulp: it is chi at c = 0
+        for p, N in [(-1, 1), (0, 2), (1, 3)]:
+            diag, offdiag = gpsf.tridiag_matrix(ProlateChannel(p, 1e-9, N), 8)
+            assert diag.tolist() == [_zero_bandwidth_chi(p, N, row) for row in range(8)]
+            assert len(offdiag) == 7 and np.all(np.abs(offdiag) < 1e-17)
 
     def test_symmetry(self):
+        # one off-diagonal serves both sides, and each entry depends on its row
+        # alone: every section is the leading block of a larger one
         ch = ProlateChannel(1, 35.0, 4)
-        for row in range(50):
-            _, _, c_here = gpsf.tridiag_entries(ch, row)
-            a_next, _, _ = gpsf.tridiag_entries(ch, row + 1)
-            assert c_here == pytest.approx(a_next, rel=1e-15)
+        diag, offdiag = gpsf.tridiag_matrix(ch, 51)
+        for K in (1, 2, 50):
+            d, e = gpsf.tridiag_matrix(ch, K)
+            assert len(e) == K - 1
+            assert np.array_equal(d, diag[:K]) and np.array_equal(e, offdiag[: K - 1])
+        dense = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+        assert np.array_equal(dense, dense.T) and np.all(offdiag > 0.0)
 
     def test_diagonal_construction_identity(self):
         # diagonal = chi(0) + c^2/2 + c^2 alpha^2 / (2 t (t+2)); the c^2
         # terms enter with positive sign (the r^2 multiplication operator
         # is positive definite) and the off-diagonals are positive
-        ch = ProlateChannel(0, 1.0, 0)
-        _, b0, c0 = gpsf.tridiag_entries(ch, 0)
-        assert b0 == pytest.approx(0.75 + 0.5, abs=0.0)
-        assert c0 > 0.0
+        diag, offdiag = gpsf.tridiag_matrix(ProlateChannel(0, 1.0, 0), 2)
+        assert diag[0] == 0.75 + 0.5
+        assert offdiag[0] > 0.0
 
     def test_eigenvalues_increase_with_bandwidth(self):
         # first-order perturbation: chi grows like c^2 times a positive
@@ -54,14 +63,17 @@ class TestTridiagEntries:
         for row in range(80):
             t = 2.0 * row + al
             shift = 0.0 if al == 0.0 else c2 * al * al / (2.0 * t * (t + 2.0))
-            diag.append(shift + 0.5 * c2 + gpsf.chi_zero(ch.mode_id(row)))
+            diag.append(shift + 0.5 * c2 + _zero_bandwidth_chi(p, N, row))
             sup.append(c2 * (row + 1.0 + al) * (row + 1.0)
                        / ((t + 2.0) * math.sqrt(t + 3.0) * math.sqrt(t + 1.0)))
-        mat = gpsf.tridiag_matrix(ch, 80)
-        assert np.array_equal(mat.diag, diag) and np.array_equal(mat.offdiag, sup[:-1])
-        for row in (0, 1, 79):
-            a, b, cx = gpsf.tridiag_entries(ch, row)
-            assert (a, b, cx) == ((sup[row - 1] if row else 0.0), diag[row], sup[row])
+        got_diag, got_sup = gpsf.tridiag_matrix(ch, 80)
+        assert np.array_equal(got_diag, diag) and np.array_equal(got_sup, sup[:-1])
+
+    def test_non_finite_entries_refused(self):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            gpsf.tridiag_matrix(ProlateChannel(0, 1e200, 0), 4)
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            gpsf.solve_channel(ProlateChannel(0, 1e200, 0), 2, K=40)
 
 
 class TestChooseTruncation:
@@ -188,9 +200,9 @@ class TestEigensolve:
         # of the same float entries
         ch = ProlateChannel(0, 100.0, 0)
         modes = gpsf.solve_channel(ch, 68)
-        mat = gpsf.tridiag_matrix(ch, len(modes[0].coeffs))
+        diag, offdiag = gpsf.tridiag_matrix(ch, len(modes[0].coeffs))
         for n in range(5):
-            exact = oracles.tridiag_eigenvalue_mp(mat.diag, mat.offdiag, n)
+            exact = oracles.tridiag_eigenvalue_mp(diag, offdiag, n)
             assert abs(float((modes[n].chi - exact) / exact)) <= 5e-15
 
     @pytest.mark.parametrize("select_range, routine", [((0, 68), "dsterf"), ((0, 9), "dsterf"),
@@ -203,10 +215,10 @@ class TestEigensolve:
 
         from gpsf import prolate
 
-        mat = gpsf.tridiag_matrix(ProlateChannel(0, 100.0, 0), 146)
-        w, v = prolate.eigh_tridiagonal(mat.diag, mat.offdiag, select="i", select_range=select_range)
+        diag, offdiag = gpsf.tridiag_matrix(ProlateChannel(0, 100.0, 0), 146)
+        w, v = prolate.eigh_tridiagonal(diag, offdiag, select="i", select_range=select_range)
         assert eigenvalue_routines == [routine]
-        w_ref, v_ref = scipy_eigh(mat.diag, mat.offdiag, select="i", select_range=select_range,
+        w_ref, v_ref = scipy_eigh(diag, offdiag, select="i", select_range=select_range,
                                   lapack_driver="stebz")
         assert w.shape == w_ref.shape and v.shape == v_ref.shape
         assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-13
@@ -216,11 +228,11 @@ class TestEigensolve:
     def test_only_index_selection(self):
         from gpsf import prolate
 
-        mat = gpsf.tridiag_matrix(ProlateChannel(0, 10.0, 0), 30)
+        diag, offdiag = gpsf.tridiag_matrix(ProlateChannel(0, 10.0, 0), 30)
         with pytest.raises(ValueError, match='only select="i"'):
-            prolate.eigh_tridiagonal(mat.diag, mat.offdiag, select="a")
+            prolate.eigh_tridiagonal(diag, offdiag, select="a")
         with pytest.raises(ValueError, match="out of bounds for a 30-by-30 matrix"):
-            prolate.eigh_tridiagonal(mat.diag, mat.offdiag, select_range=(0, 30))
+            prolate.eigh_tridiagonal(diag, offdiag, select_range=(0, 30))
 
     @pytest.mark.parametrize("routine, nmax", [("dsterf", 40), ("dstebz", 2), ("dstein", 40),
                                                ("dstein", 2)])
@@ -308,25 +320,21 @@ class TestCoefficientDecay:
             assert np.max(np.abs(ma.coeffs - mb.coeffs[:m])) <= 1e-13
 
 
-class TestSerialization:
-    def test_round_trip_exact(self, channels):
-        mode = channels(0, 20.0, 0, 3)[3]
-        back = mode_from_json(mode_to_json(mode))
-        assert back.chi == mode.chi
-        assert back.n == mode.n
-        assert back.channel == mode.channel
-        assert np.array_equal(back.coeffs, mode.coeffs)
-
-
 class TestChiZero:
+    """The diagonal at c = 1e-9 is the zero-bandwidth eigenvalue (s+1/2)(s+3/2), s = alpha + 2n."""
+
+    @staticmethod
+    def _chi(p, N, n):
+        return gpsf.tridiag_matrix(ProlateChannel(p, 1e-9, N), n + 1)[0][n]
+
     def test_base_case(self):
-        assert gpsf.chi_zero(RadialModeId(0, 0, 0)) == 0.75
+        assert self._chi(0, 0, 0) == 0.75
 
     def test_direct_substitution(self):
-        assert gpsf.chi_zero(RadialModeId(1, 2, 1)) == pytest.approx(30.0, abs=0.0)
+        assert self._chi(1, 2, 1) == 30.0
 
     def test_monotone_in_n(self):
-        vals = [gpsf.chi_zero(RadialModeId(1, 3, n)) for n in range(12)]
+        vals = gpsf.tridiag_matrix(ProlateChannel(1, 1e-9, 3), 12)[0]
         assert np.all(np.diff(vals) > 0.0)
 
 

@@ -6,7 +6,6 @@ import pytest
 import gpsf
 from gpsf import kernels, quadrature
 from gpsf.prolate import NumericalError, ProlateChannel
-from gpsf.quadrature import rule_to_csv, rule_to_json
 
 
 def _moments(channel, modes):
@@ -59,7 +58,7 @@ class TestGaussianRule:
         exact = DISK_INTEGRAL_EXACT[20.0]
         for build, n in ((gpsf.gaussian_rule, 10), (gpsf.chebyshev_rule, 14)):
             rule = build(ProlateChannel(0, 20.0, 0), n)
-            ball = gpsf.tensor_rule(rule, gpsf.angular_rule_from_count(0, 50))
+            ball = gpsf.BallRule(rule, gpsf.angular_rule_from_count(0, 50))
             val = gpsf.integrate_exponential(ball, x, 20.0)
             assert abs(val.real - exact) / abs(exact) <= 1e-13
 
@@ -177,29 +176,3 @@ class TestGaussianStopping:
         with pytest.raises(NumericalError, match="stagnated"):
             gpsf.gaussian_rule(ProlateChannel(0, 20.0, 0), 10)
         assert flags == [True, True] + [False] * 39
-
-
-class TestExports:
-    def test_csv_shape_and_precision(self):
-        rule = gpsf.chebyshev_rule(ProlateChannel(0, 10.0, 0), 6)
-        text = rule_to_csv(rule)
-        lines = text.strip().split("\n")
-        assert lines[0] == "node,weight"
-        assert len(lines) == 7
-        node = float(lines[1].split(",")[0])
-        assert node == rule.nodes[0]  # 17 significant digits round-trip
-
-    def test_json_metadata(self):
-        rule = gpsf.gaussian_rule(ProlateChannel(0, 10.0, 0), 5)
-        import json
-
-        d = json.loads(rule_to_json(rule))
-        assert d["kind"] == "gaussian"
-        assert d["p"] == 0 and d["c"] == 10.0 and d["n"] == 5
-        assert d["exactness"] == 9
-        assert np.array_equal(np.asarray(d["nodes"]), rule.nodes)
-
-    def test_deterministic(self):
-        a = rule_to_csv(gpsf.gaussian_rule(ProlateChannel(0, 10.0, 0), 5))
-        b = rule_to_csv(gpsf.gaussian_rule(ProlateChannel(0, 10.0, 0), 5))
-        assert a == b

@@ -77,6 +77,38 @@ class TestConvertRtprime:
         assert np.max(np.abs(sol - x)) <= 1e-10
 
 
+    @pytest.mark.parametrize("p, N", [(-1, 1), (0, 0), (0, 7), (1, 3)])
+    @pytest.mark.parametrize("shape", [(1,), (37,), (1, 5), (9, 60)])
+    def test_in_place_work_matches_the_array_expression(self, p, N, shape):
+        # the conversion and r Phi' work in place, bit for bit as the array
+        # expressions below, and leave their input untouched
+        from gpsf import spectrum
+
+        rng = np.random.default_rng(sum(shape) + 10 * (p + 1) + N)
+        x = rng.normal(size=shape) * np.exp(rng.uniform(-60.0, 5.0, size=shape))
+        x[..., ::4] *= -0.0  # signed zeros among the entries
+        before = x.copy()
+        ref = _convert_rtprime_reference(x, N, p)
+        out = gpsf.convert_rtprime(x, N, p)
+        assert np.array_equal(out, ref) and np.array_equal(np.signbit(out), np.signbit(ref))
+        assert np.array_equal(spectrum._rphi_prime(x, N, p), ref - (p + 1) / 2.0 * x)
+        assert np.array_equal(x, before) and np.array_equal(np.signbit(x), np.signbit(before))
+
+
+def _convert_rtprime_reference(x, N, p):
+    # the conversion as array expressions, one new array per step
+    al = N + p / 2.0
+    nu = al + 0.5
+    k = np.arange(x.shape[-1])
+    scale = np.sqrt(2.0 * (2.0 * k + al + 1.0))
+    xh = x * scale
+    sigma = np.cumsum(xh[..., ::-1], axis=-1)[..., ::-1]
+    sigma_next = np.zeros_like(sigma)
+    sigma_next[..., :-1] = sigma[..., 1:]
+    y = sigma * (nu + 2.0 * k) + sigma_next * (nu + 2.0 * k + 1.0)
+    return y / scale
+
+
 def _tbar(p, N, n, rr):
     # r^((p+1)/2) times the orthonormal radial polynomial of mode n: scipy's
     # P_n^(alpha,0) at 1-2r^2 times the closed-form prefactor
