@@ -19,7 +19,7 @@ import scipy.special as sps
 
 from .ballquad import BallRule, angular_rule_from_count, check_node_count, integrate_exponential
 from .interp import ChannelCache, recover_coeffs, sampling_rule
-from .prolate import NumericalError, ProlateChannel, eval_phi, eval_phi_deriv, solve_channel
+from .prolate import NumericalError, ProlateChannel, eval_phi_and_deriv, solve_channel
 from .quadrature import chebyshev_rule, gaussian_rule
 from .roots import find_roots
 from .spectrum import beta_chain, harmonic_count, mu_sum_check
@@ -85,8 +85,7 @@ def _cmd_eval(args) -> None:
         raise ValidationError("radii must lie in [0, 1]")
     ch = ProlateChannel(args.p, args.c, args.N)
     mode = solve_channel(ch, args.n, eps=args.eps)[args.n]
-    phi = np.atleast_1d(eval_phi(mode, rr))
-    dphi = np.atleast_1d(eval_phi_deriv(mode, rr))
+    phi, dphi = eval_phi_and_deriv(mode, rr)
     _write(args, ["r", "phi", "dphi"], zip(rr, phi, dphi),
            {"r": rr.tolist(), "phi": phi.tolist(), "dphi": dphi.tolist()})
 

@@ -37,6 +37,7 @@ __all__ = [
 
 _RELIABLE_FLOOR = 1e-3 * np.finfo(float).eps
 _MAX_DEGREE = 5000  # highest angular degree of a sampling rule, whose angular count is twice it
+_TRUNCATION_TARGET = 1e-15  # truncation envelope that sizes the default angular count
 
 
 class ChannelCache:
@@ -82,14 +83,13 @@ def sampling_rule(
     c: float,
     radial_count: int | None = None,
     angular_count: int | None = None,
-    target: float = 1e-15,
 ) -> BallRule:
     """Tensor rule at band limit 2c suitable for coefficient recovery.
 
     The radial factor is a Gauss-type rule sized from the eigenvalue
     spectrum of the doubled channel (half the count of significant modes,
     plus ten); the angular count is the first for which the product
-    truncation envelope falls below ``target``.  A band limit that no
+    truncation envelope falls below 1e-15.  A band limit that no
     angular count up to 10000 serves raises ``ValueError`` before any
     channel is solved.  So does a rule of more than 4,000,000 nodes: its
     size is checked before any channel is solved, with eleven radial nodes
@@ -100,7 +100,7 @@ def sampling_rule(
     """
     channel = ProlateChannel(p, 2.0 * c, 0)
     if angular_count is None:
-        angular_count = _angular_count(p, channel.c, target)
+        angular_count = _angular_count(p, channel.c, _TRUNCATION_TARGET)
     # the default radial count is at least _default_radial_count(1)
     what = f"sampling rule for p={p}, c={c:g}"
     check_node_count(what, p, radial_count or _default_radial_count(1), angular_count)
@@ -177,14 +177,14 @@ def recover_coeffs(
     c: float,
     modes: list[tuple[int, int, int]],
     cache: ChannelCache | None = None,
-    use_fft: bool = True,
 ) -> GpsfExpansion:
     """Project sampled values of a band-limited function onto the basis.
 
     Each channel N is tabulated once at the radial nodes, for all its
     cached modes, and weighted by the radial rule once; its harmonics are
-    formed once at the angular nodes, and each angular projection once per
-    (N, ell), which gives every n of that pair in one array sum.
+    formed once at the angular nodes (on the disk one FFT of the samples
+    stands in for them), and each angular projection once per (N, ell),
+    which gives every n of that pair in one array sum.
 
     Parameters
     ----------
@@ -198,9 +198,6 @@ def recover_coeffs(
         Requested basis indices.
     cache : ChannelCache, optional
         Reused radial solves; created on demand.
-    use_fft : bool
-        On the disk, evaluate the angular sums by FFT (the default);
-        otherwise use the generic per-node sum.
 
     Raises
     ------
@@ -235,7 +232,7 @@ def recover_coeffs(
     unreliable = set()
     rweights = rule.radial.weights
     F = samples.reshape(len(rule.radial.nodes), rule.angular.count)
-    G = np.fft.fft(F, axis=1) * (2.0 * math.pi / rule.angular.count) if (p == 0 and use_fft) else None
+    G = np.fft.fft(F, axis=1) * (2.0 * math.pi / rule.angular.count) if p == 0 else None
     for N in sorted(wanted):
         triples = cache.triples(N)
         W = tabulate(cache.modes(N), rule.radial.nodes) * rweights

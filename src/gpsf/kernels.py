@@ -2,9 +2,9 @@
 
 The normalized radial polynomials Rbar_k(r) = scale[k] P_k^(alpha,0)(1-2r^2) r^N
 come from the Jacobi three-term recurrence.  ``rbar_basis`` and
-``rbar_basis_with_deriv`` tabulate them as K-by-m matrices; ``phi_and_deriv``
-sums a coefficient vector against the recurrence at one radius on plain
-floats, keeping the running sums as it goes (Clenshaw, MTAC 9, 1955).
+``rbar_basis_with_deriv`` tabulate them as K-by-m matrices, one row per
+degree; every evaluation of the radial functions, at one radius or many,
+is a product with such a matrix.
 """
 
 import itertools
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = ["rbar_basis", "rbar_basis_with_deriv", "phi_and_deriv", "phase_sum"]
+__all__ = ["rbar_basis", "rbar_basis_with_deriv", "phase_sum"]
 
 _PHASE_CHUNK = 1 << 16  # terms per chunk handed to math.fsum
 _TABLE_ALPHAS = 256  # recurrence tables kept, one per alpha, least recently used dropped first
@@ -109,30 +109,6 @@ def _basis(alpha, N, K, r, deriv):
     P *= scale
     P *= rn
     return P, D
-
-
-def phi_and_deriv(alpha, N, coeffs, r):
-    """(sum_k coeffs[k] Rbar_k(r), its r-derivative) at one radius r.
-
-    Runs the recurrences for P_k and P_k' on Python floats and keeps the
-    two coefficient sums as it goes; ``coeffs`` is a sequence of floats.
-    """
-    K = len(coeffs)
-    c0, a1, b, scale = _recurrence_tables(alpha, K)[1]
-    w = [c * s for c, s in zip(coeffs, scale)]
-    r = float(r)
-    x = r * r
-    pkm1, pk = 1.0, (alpha + 1.0) - (alpha + 2.0) * x
-    dkm1, dk = 0.0, (alpha + 2.0) / 2.0
-    s, sd = (w[0] + w[1] * pk, w[1] * dk) if K > 1 else (w[0], 0.0)
-    for c0k, a1k, bk, wk in zip(c0, a1, b, w[2:]):
-        ay = c0k - 2.0 * a1k * x
-        dkm1, dk = dk, ay * dk - bk * dkm1 + a1k * pk
-        pkm1, pk = pk, ay * pk - bk * pkm1
-        s += wk * pk
-        sd += wk * dk
-    rn, drn = _powers(N, r)
-    return s * rn, sd * (-4.0 * r) * rn + s * drn
 
 
 def _fsum_terms(weights, phases, fn):

@@ -198,39 +198,38 @@ def _phi_one_weights(channel: ProlateChannel, K: int) -> np.ndarray:
     return np.sqrt(2.0 * (2.0 * k + channel.alpha + 1.0))
 
 
-def eigh_tridiagonal(d, e, select="i", select_range=(0, 0)):
-    """Eigenpairs ``select_range[0]..select_range[1]`` of a symmetric tridiagonal matrix.
+def eigh_tridiagonal(d, e, m):
+    """The m lowest eigenpairs of a symmetric tridiagonal matrix.
 
-    Called as ``scipy.linalg.eigh_tridiagonal`` with ``select="i"``, the one
-    selection it takes: ``d`` is the diagonal and ``e`` the off-diagonal; it
-    returns the ascending eigenvalues and the unit eigenvectors as columns.
-    The eigenvalues come from root-free QR of the whole matrix (``dsterf``)
-    when at least K/16 of the K are asked for, else from bisection
-    (``dstebz``).  The eigenvectors come from inverse iteration (``dstein``)
-    on the whole matrix as one block, which computes the small trailing
-    coefficients to relative accuracy, also across off-diagonals so small
-    that bisection would split the matrix there.
+    ``d`` is the diagonal and ``e`` the off-diagonal; it returns the
+    ascending eigenvalues and the unit eigenvectors as columns, as
+    ``scipy.linalg.eigh_tridiagonal`` does with ``select="i"`` and
+    ``select_range=(0, m - 1)``.  The eigenvalues come from root-free QR of
+    the whole matrix (``dsterf``) when at least K/16 of the K are asked for,
+    else from bisection (``dstebz``).  The eigenvectors come from inverse
+    iteration (``dstein``) on the whole matrix as one block, which computes
+    the small trailing coefficients to relative accuracy, also across
+    off-diagonals so small that bisection would split the matrix there.
 
     Raises
     ------
+    ValueError
+        If m is not between 1 and K.
     numpy.linalg.LinAlgError
         If a LAPACK routine returns a nonzero ``info``.
     """
-    if select != "i":
-        raise ValueError(f'only select="i" is supported, got {select!r}')
-    lo, hi = select_range
     K = len(d)
-    if not 0 <= lo <= hi < K:
-        raise ValueError(f"select_range {select_range} is out of bounds for a {K}-by-{K} matrix")
-    if _QR_FRACTION * (hi - lo + 1) >= K:
+    if not 1 <= m <= K:
+        raise ValueError(f"{m} eigenpairs asked of a {K}-by-{K} matrix")
+    if _QR_FRACTION * m >= K:
         w, info = dsterf(d, e)
         _check_info("dsterf", info)
-        w = w[lo : hi + 1]
+        w = w[:m]
     else:
         # range 2 selects by index, one-based; tolerance 0 is dstebz's default
-        m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, lo + 1, hi + 1, 0.0, "E")
+        found, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, 1, m, 0.0, "E")
         _check_info("dstebz", info)
-        w = w[:m]
+        w = w[:found]
     # every eigenvalue in block 1, and block 1 ends at row K (dstein reads only isplit[0])
     v, info = dstein(d, e, w, np.ones(K, dtype=np.int32), np.full(K, K, dtype=np.int32))
     _check_info("dstein", info)
@@ -274,7 +273,7 @@ def solve_channel(
     for step in range(_MAX_ENLARGEMENTS + 1):
         diag, offdiag = tridiag_matrix(channel, K)
         try:
-            chis, vecs = eigh_tridiagonal(diag, offdiag, select="i", select_range=(0, nmax))
+            chis, vecs = eigh_tridiagonal(diag, offdiag, nmax + 1)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"tridiagonal eigensolver failed for channel {channel} (K={K}): {exc}"
@@ -322,23 +321,18 @@ def tabulate(modes, r, deriv=False):
 
 
 def eval_phi_and_deriv(mode: ZernikeCoeffs, r):
-    """(Phi_{N,n}, dPhi_{N,n}/dr) at radii in [0, 1].
+    """(Phi_{N,n}, dPhi_{N,n}/dr) at radii in [0, 1], from one basis build.
 
-    At a scalar radius this is one fused pass over the recurrence on plain
-    floats, over the mode's ``support``, with no basis matrix; at an array
-    of radii the basis and its derivative are tabulated once.
+    A scalar radius gives a pair of floats, read from a one-point table.
     """
-    ch = mode.channel
-    if np.ndim(r) == 0:
-        return kernels.phi_and_deriv(ch.alpha, ch.N, mode.coeffs[: mode.support].tolist(), r)
-    return tabulate(mode, r, deriv=True)
+    f, df = tabulate(mode, r, deriv=True)
+    return (float(f[0]), float(df[0])) if np.ndim(r) == 0 else (f, df)
 
 
 def eval_phi(mode: ZernikeCoeffs, r):
     """Evaluate Phi_{N,n} at radii in [0, 1] from its Zernike expansion."""
-    if np.ndim(r) == 0:
-        return eval_phi_and_deriv(mode, r)[0]
-    return tabulate(mode, r)
+    f = tabulate(mode, r)
+    return float(f[0]) if np.ndim(r) == 0 else f
 
 
 def eval_phi_deriv(mode: ZernikeCoeffs, r):

@@ -341,12 +341,46 @@ class TestEvalRoots:
         assert lines[0] == "r,phi,dphi"
         assert len(lines) == 4
 
+    def test_eval_builds_one_basis(self, capsys, monkeypatch):
+        # one (Phi, Phi') table whose columns carry the bits of eval_phi and eval_phi_deriv
+        from gpsf import kernels, prolate
+
+        builds = []
+        for name in ("rbar_basis", "rbar_basis_with_deriv"):
+            real = getattr(kernels, name)
+            monkeypatch.setattr(kernels, name,
+                                lambda *a, _n=name, _f=real: builds.append(_n) or _f(*a))
+        code, out, _ = run_cli(["eval", "--p", "1", "--c", "50", "--N", "3", "--n", "8",
+                                "--r", "0,0.25,0.5,0.75,1", "--format", "json"], capsys)
+        assert code == 0 and builds == ["rbar_basis_with_deriv"]
+        got = json.loads(out)
+        mode = prolate.solve_channel(prolate.ProlateChannel(1, 50.0, 3), 8)[8]
+        r = np.array(got["r"])
+        assert got["phi"] == prolate.eval_phi(mode, r).tolist()
+        assert got["dphi"] == prolate.eval_phi_deriv(mode, r).tolist()
+
     def test_roots_count(self, capsys):
         code, out, _ = run_cli(
             ["roots", "--p", "0", "--c", "20", "--N", "0", "--n", "5"], capsys
         )
         assert code == 0
         assert len(out.strip().split("\n")) == 6
+
+    def test_roots_wrong_bracket_count(self, capsys, monkeypatch):
+        # the scan's evaluation is patched to lose the lowest sign change
+        from gpsf import roots
+
+        real = roots.eval_phi
+
+        def one_change_lost(mode, r):
+            vals = real(mode, r)
+            vals[: np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0] + 1] *= -1.0
+            return vals
+
+        monkeypatch.setattr(roots, "eval_phi", one_change_lost)
+        code, out, err = run_cli(["roots", "--p", "0", "--c", "20", "--N", "0", "--n", "5"], capsys)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "found 4 sign changes, expected 5" in err
 
 
 class TestExitCodes:

@@ -37,7 +37,7 @@ def _grid_max(fn, mode):
 class TestFusedAgainstOracle:
     @pytest.mark.parametrize("name", sorted(ORACLE_MODES))
     def test_value_and_derivative(self, name):
-        # fused scalar (Phi, Phi') against the 40-digit series and its
+        # (Phi, Phi') at one radius against the 40-digit series and its
         # numerical derivative, relative to the largest |Phi|, |Phi'| on [0, 1]
         mode = ORACLE_MODES[name]()
         fmax = _grid_max(gpsf.eval_phi, mode)
@@ -59,7 +59,7 @@ class TestFusedAgainstOracle:
 
 
 class TestPathAgreement:
-    """The fused scalar pass against the batched basis on a grid."""
+    """One radius at a time against the batched basis on a grid."""
 
     CASES = ((-1, 20.0, 1, 6), (0, 150.0, 0, 30), (0, 5.0, 40, 2), (1, 50.0, 3, 8))
 

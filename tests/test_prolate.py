@@ -205,9 +205,10 @@ class TestEigensolve:
             exact = oracles.tridiag_eigenvalue_mp(diag, offdiag, n)
             assert abs(float((modes[n].chi - exact) / exact)) <= 5e-15
 
+    # the m lowest pairs against SciPy's select_range=(0, m - 1)
     @pytest.mark.parametrize("select_range, routine", [((0, 68), "dsterf"), ((0, 9), "dsterf"),
-                                                       ((0, 8), "dstebz"), ((3, 7), "dstebz"),
-                                                       ((20, 40), "dsterf")])
+                                                       ((0, 8), "dstebz"), ((0, 4), "dstebz"),
+                                                       ((0, 40), "dsterf")])
     def test_both_sides_of_the_size_rule_agree_with_stebz(self, eigenvalue_routines,
                                                           select_range, routine):
         # K = 146: QR from 10 eigenvalues on (16 * 10 >= 146), bisection below
@@ -216,7 +217,7 @@ class TestEigensolve:
         from gpsf import prolate
 
         diag, offdiag = gpsf.tridiag_matrix(ProlateChannel(0, 100.0, 0), 146)
-        w, v = prolate.eigh_tridiagonal(diag, offdiag, select="i", select_range=select_range)
+        w, v = prolate.eigh_tridiagonal(diag, offdiag, select_range[1] + 1)
         assert eigenvalue_routines == [routine]
         w_ref, v_ref = scipy_eigh(diag, offdiag, select="i", select_range=select_range,
                                   lapack_driver="stebz")
@@ -225,14 +226,14 @@ class TestEigensolve:
         v = v * np.sign(np.sum(v * v_ref, axis=0))
         assert np.max(np.abs(v - v_ref)) <= 1e-13
 
-    def test_only_index_selection(self):
+    @pytest.mark.parametrize("m", [0, 31])
+    def test_pair_count_checked(self, m):
         from gpsf import prolate
 
         diag, offdiag = gpsf.tridiag_matrix(ProlateChannel(0, 10.0, 0), 30)
-        with pytest.raises(ValueError, match='only select="i"'):
-            prolate.eigh_tridiagonal(diag, offdiag, select="a")
-        with pytest.raises(ValueError, match="out of bounds for a 30-by-30 matrix"):
-            prolate.eigh_tridiagonal(diag, offdiag, select_range=(0, 30))
+        with pytest.raises(ValueError, match=f"{m} eigenpairs asked of a 30-by-30 matrix"):
+            prolate.eigh_tridiagonal(diag, offdiag, m)
+        assert prolate.eigh_tridiagonal(diag, offdiag, 30)[1].shape == (30, 30)
 
     @pytest.mark.parametrize("routine, nmax", [("dsterf", 40), ("dstebz", 2), ("dstein", 40),
                                                ("dstein", 2)])
@@ -383,7 +384,11 @@ class TestSupport:
 
     @pytest.mark.parametrize("p,c,N,n", [(0, 5.0, 40, 6), (0, 1000.0, 0, 399), (-1, 20.0, 1, 15)])
     def test_trimmed_matches_full_length(self, channels, p, c, N, n):
-        # N >> c, c = 1000 and the interval's odd channel, on both evaluation paths
+        # N >> c, c = 1000 and the interval's odd channel, at an array of radii and
+        # one radius at a time.  A single radius is a dot product whose summation
+        # order changes with its length: at r = 1, where Phi' cancels from terms of
+        # size k^2 |a_k| far above max |Phi'|, its bound is set by the sum of the
+        # terms' magnitudes
         from gpsf import kernels
 
         r = np.linspace(0.0, 1.0, 101)
@@ -392,15 +397,15 @@ class TestSupport:
             B, D = kernels.rbar_basis_with_deriv(alpha, N, len(mode.coeffs), r)
             full, dfull = mode.coeffs @ B, mode.coeffs @ D
             tab, dtab = gpsf.eval_phi_and_deriv(mode, r)
-            scalar = np.array([gpsf.eval_phi_and_deriv(mode, float(x)) for x in r[::10]])
-            full_scalar = np.array(
-                [kernels.phi_and_deriv(alpha, N, mode.coeffs.tolist(), float(x)) for x in r[::10]]
-            )
             bound, dbound = 4e-15 * np.max(np.abs(full)), 4e-15 * np.max(np.abs(dfull))
             assert np.max(np.abs(tab - full)) <= bound
-            assert np.max(np.abs(scalar[:, 0] - full_scalar[:, 0])) <= bound
             assert np.max(np.abs(dtab - dfull)) <= dbound
-            assert np.max(np.abs(scalar[:, 1] - full_scalar[:, 1])) <= dbound
+            for i in range(0, 101, 10):
+                f, df = gpsf.eval_phi_and_deriv(mode, float(r[i]))
+                B1, D1 = kernels.rbar_basis_with_deriv(alpha, N, len(mode.coeffs), r[i : i + 1])
+                sums = 4e-15 * (np.abs(mode.coeffs) @ np.abs(np.hstack([B1, D1])))
+                assert abs(f - mode.coeffs @ B1[:, 0]) <= max(bound, sums[0])
+                assert abs(df - mode.coeffs @ D1[:, 0]) <= max(dbound, sums[1])
 
 
 class TestNonFiniteBandLimit:

@@ -62,24 +62,32 @@ class TestFindRoots:
                 assert np.sum((prev > lo) & (prev < hi)) == 1
             prev = cur
 
-    def test_march_and_newton_quality(self, channels):
+    def test_newton_sweeps(self, channels, monkeypatch):
+        # the secant through each bracket starts Newton within 1e-3 of its root,
+        # and every root converges within five sweeps
+        from gpsf import roots
+
         mode = channels(0, 20.0, 0, 14)[14]
-        diag = []
-        find_roots(mode, diagnostics=diag)
-        assert max(d["march_err"] for d in diag) <= 1e-3
-        assert max(d["newton_iters"] for d in diag) <= 8
+        sweeps = _counting(monkeypatch, roots, "tabulate")
+        found = find_roots(mode)
+        assert len(found) == 14
+        assert np.max(np.abs(sweeps[0][1] - found)) <= 1e-3
+        assert len(sweeps) <= 5
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*a, **k):
+        calls.append(a)
+        return real(*a, **k)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestPrueferPhase:
-    def test_phase_slope_negative_between_roots(self, channels):
-        from gpsf.roots import _constants, _slope
-
-        mode = channels(0, 20.0, 0, 12)[12]
-        roots = find_roots(mode)
-        rr = np.linspace(roots[0], roots[-1], 200)
-        for r in rr:
-            assert _slope(_constants(mode), float(r), 0.37) < 0.0
-
     def test_beta_positive_on_oscillatory_interval(self, channels):
         mode = channels(0, 20.0, 0, 12)[12]
         roots = find_roots(mode)
@@ -89,51 +97,80 @@ class TestPrueferPhase:
     def test_turning_point_closed_form(self, channels):
         # for p=1, N=0 the singular term of the phase coefficient drops
         # out and the turning point is exactly sqrt(chi)/c (chi < c^2)
-        from gpsf.roots import _turning_point
+        from gpsf.roots import _scan_start, _turning_point
 
         mode = channels(1, 20.0, 0, 5)[5]
         assert mode.chi < 400.0
         x0 = _turning_point(mode)
         assert x0 == pytest.approx(np.sqrt(mode.chi) / 20.0, abs=1e-12)
+        assert _scan_start(mode) == 0.0  # b > 0 from r = 0 on, as for every alpha <= 1/2
+
+    def test_scan_starts_below_the_oscillatory_interval(self, channels):
+        # for alpha > 1/2, b < 0 near r = 0: the scan starts at the last grid
+        # point before b turns positive, below every root
+        from gpsf.roots import _B_GRID, _scan_start
+
+        mode = channels(0, 20.0, 60, 5)[5]
+        x_in = _scan_start(mode)
+        i = int(np.flatnonzero(_B_GRID == x_in)[0])
+        assert np.all(pruefer_beta(mode, _B_GRID[: i + 1]) <= 0.0)
+        assert pruefer_beta(mode, _B_GRID[i + 1]) > 0.0
+        assert 0.0 < x_in < find_roots(mode)[0]
 
 
 class TestRootErrors:
-    def test_bisection_fallback_brackets(self, channels):
-        mode = channels(0, 20.0, 0, 14)[14]
-        roots = find_roots(mode)
-        from gpsf.roots import _newton
-
-        with pytest.raises(NumericalError):
-            # interval with no sign change
-            _newton(mode, 0.5 * (roots[0] + roots[1]) + 0.4 * (roots[1] - roots[0]),
-                    roots[0] + 0.6 * (roots[1] - roots[0]),
-                    roots[1] - 0.1 * (roots[1] - roots[0]))
-
-
-class TestMarchCost:
-    def test_slope_evaluations_per_interval(self, channels, monkeypatch):
-        # RK4 at 12 steps per pi of phase: 48 slope evaluations per interval
+    @pytest.mark.parametrize("found", [13, 15])
+    def test_wrong_bracket_count_raises(self, channels, monkeypatch, found):
+        # the scan's evaluation is patched to show one sign change fewer or more
         from gpsf import roots
 
         mode = channels(0, 20.0, 0, 14)[14]
-        calls = []
-        real = roots._slope
+        real = roots.eval_phi
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def miscounted(m, r):
+            vals = real(m, r)
+            flips = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
+            if found < 14:
+                vals[: flips[0] + 1] *= -1.0  # the lowest sign change is lost
+            else:
+                vals[0] *= -1.0  # a sign change appears at the scan's start
+            return vals
 
-        monkeypatch.setattr(roots, "_slope", counted)
+        monkeypatch.setattr(roots, "eval_phi", miscounted)
+        with pytest.raises(NumericalError, match=f"found {found} sign changes, expected 14"):
+            find_roots(mode)
+
+    def test_unconverged_newton_raises(self, channels, monkeypatch):
+        from gpsf import roots
+
+        monkeypatch.setattr(roots, "_NEWTON_MAX", 1)
+        with pytest.raises(NumericalError, match="unconverged after 1 sweeps"):
+            find_roots(channels(0, 20.0, 0, 14)[14])
+
+
+class TestScanCost:
+    def test_one_scan_and_batched_newton(self, channels, monkeypatch):
+        # one Phi table at the scan points, at most six (Phi, Phi') tables, and
+        # no evaluation at a single radius
+        from gpsf import kernels, roots
+
+        mode = channels(0, 20.0, 0, 14)[14]
+        scans = _counting(monkeypatch, roots, "eval_phi")
+        values = _counting(monkeypatch, kernels, "rbar_basis")
+        pairs = _counting(monkeypatch, kernels, "rbar_basis_with_deriv")
         assert len(find_roots(mode)) == 14
-        assert len(calls) == 48 * 13
+        assert len(scans) == 1 and len(values) == 1 and np.ndim(scans[0][1]) == 1
+        assert 1 <= len(pairs) <= 6
 
 
 class TestRootExtremes:
-    # c near 0, N >> c, the interval's odd channel, c = 1000, and four modes with
-    # chi <= 1/sqrt(c), which for n >= 1 takes c < 1/36
+    # c near 0, N >> c, the interval's odd channel, c = 1000, four modes with
+    # chi <= 1/sqrt(c), which for n >= 1 takes c < 1/36, and N = 60 and 200, where
+    # b < 0 on most of [0, x0] and the scan starts well above r = 0
     @pytest.mark.parametrize("p,c,N,n", [(0, 1e-3, 0, 10), (0, 5.0, 40, 6), (-1, 50.0, 1, 20),
                                          (0, 1000.0, 0, 399), (-1, 1e-8, 0, 1), (0, 1e-4, 0, 2),
-                                         (-1, 0.02, 0, 1), (1, 1e-5, 3, 3)])
+                                         (-1, 0.02, 0, 1), (1, 1e-5, 3, 3), (0, 20.0, 60, 5),
+                                         (1, 1e-3, 60, 5), (1, 1000.0, 200, 100)])
     def test_count_and_residual_in_extended_precision(self, channels, p, c, N, n):
         from oracles import phi_mp
 
