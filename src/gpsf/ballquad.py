@@ -1,11 +1,11 @@
 """Tensor-product quadrature over the unit ball in R^(p+2), p in {-1,0,1}.
 
-The angular factor with m equispaced angles integrates surface harmonics
-exactly up to degree m - 1 (equispaced angles on the circle,
-Gauss-Legendre-by-equispaced products on the sphere, the two endpoints on
-the 0-sphere); combined with
-a radial rule over weight r^(p+1) it integrates band-limited functions
-with super-exponential accuracy in the angular degree.
+The angular factor with m equispaced longitudes integrates surface
+harmonics exactly up to degree m - 1 (the circle; Gauss-Legendre polar
+nodes crossed with them on the sphere; the two endpoints on the 0-sphere),
+and its sums of harmonics separate into one FFT and a polar sum.  With a
+radial rule over weight r^(p+1) it integrates band-limited functions with
+super-exponential accuracy in the angular degree.
 """
 
 from __future__ import annotations
@@ -48,15 +48,54 @@ def ball_volume(p: int) -> float:
 
 @dataclass(frozen=True)
 class AngularRule:
-    """Nodes on S^(p+1) with their weights."""
+    """Nodes on S^(p+1), polar-major: polar cosines u_i times m equispaced longitudes.
+
+    Node (i, j) is (s_i cos phi_j, s_i sin phi_j, u_i), s_i = sqrt(1 - u_i^2),
+    without the last coordinate on the circle (u = 0) and with only it on
+    the 0-sphere (m = 1); its weight is the polar weight times 2 pi / m (1 for p = -1).
+    """
 
     p: int
-    points: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
+    polar: np.ndarray = field(repr=False)
+    polar_weights: np.ndarray = field(repr=False)
+    longitudes: int
 
     @property
     def count(self) -> int:
-        return len(self.weights)
+        return len(self.polar) * self.longitudes
+
+    @property
+    def points(self) -> np.ndarray:
+        """Unit vectors of the nodes, shape (count, p+2)."""
+        m = self.longitudes
+        th = 2.0 * math.pi * np.arange(m) / m
+        s = np.sqrt(1.0 - self.polar * self.polar)[:, None]
+        cols = [s * np.cos(th), s * np.sin(th)] if self.p >= 0 else []
+        if self.p != 0:
+            cols.append(np.repeat(self.polar[:, None], m, axis=1))
+        return np.stack([col.reshape(-1) for col in cols], axis=1)
+
+    @property
+    def weights(self) -> np.ndarray:
+        arc = 2.0 * math.pi if self.p >= 0 else 1.0
+        return np.repeat(self.polar_weights * arc / self.longitudes, self.longitudes)
+
+    def projections(self, F: np.ndarray, orders) -> dict[int, np.ndarray]:
+        """Sums over the nodes of each row of F times w S_N^ell, as [N][ell - 1], N in orders.
+
+        One FFT over the longitudes gives every frequency's cos and sin sums, then a polar
+        sum per order; a frequency k >= m wraps modulo m, as in the sum over the nodes.
+        """
+        m = self.longitudes
+        G = np.fft.fft(F.reshape(len(F), len(self.polar), m), axis=2).T
+        neg = G[-np.arange(m) % m]
+        trig = np.concatenate([0.5 * (G + neg), 0.5j * (G - neg)])  # cos k, then sin k rows
+        ring = self.weights[::m]
+        out = {}
+        for N in orders:
+            k, theta = _polar_factors(self.p, N, self.polar)
+            out[N] = np.einsum("hir,hi->hr", trig[np.abs(k) % m + m * (k < 0)], theta * ring)
+        return out
 
 
 @dataclass(frozen=True)
@@ -90,22 +129,24 @@ class BallRule:
 
 
 def angular_rule_from_count(p: int, m: int) -> AngularRule:
-    """Angular rule on S^(p+1) with m equispaced angles.
+    """Angular rule on S^(p+1) with m equispaced angles; m < 1 raises ``ValueError``.
 
     p = 0: the m-point equal-weight circle rule.
     p = 1: m equispaced longitudes crossed with ceil(m/2) Gauss-Legendre
            nodes in the polar cosine.
-    p = -1: the two endpoints -1, +1 with unit weights; m is ignored.
+    p = -1: the two endpoints -1, +1 with unit weights, whatever m is.
     For p = 0 and 1 the rule integrates surface harmonics of degree up to
     m - 1 exactly; the endpoint rule integrates both harmonics of p = -1.
     """
-    if p == -1:
-        return AngularRule(-1, np.array([[-1.0], [1.0]]), np.array([1.0, 1.0]))
-    if p not in (0, 1):
+    if p not in (-1, 0, 1):
         raise ValueError(f"angular rules exist for p in (-1, 0, 1), got {p}")
     if m < 1:
         raise ValueError("angular count must be positive")
-    return _circle_rule(m) if p == 0 else _sphere_rule(m)
+    if p == -1:
+        return AngularRule(-1, np.array([-1.0, 1.0]), np.ones(2), 1)
+    if p == 0:
+        return AngularRule(0, np.zeros(1), np.ones(1), m)
+    return AngularRule(1, *_gauss_legendre((m + 1) // 2), m)  # exact through degree 2q-1 >= m-1
 
 
 def angular_node_count(p: int, m: int) -> int:
@@ -125,12 +166,6 @@ def check_node_count(what: str, p: int, radial_count: int, angular_count: int) -
     if count > _MAX_NODES:
         raise ValueError(f"{what} needs at least {count} nodes ({radial_count} radial, "
                          f"angular count {angular_count}), above the limit of {_MAX_NODES}")
-
-
-def _circle_rule(m: int) -> AngularRule:
-    th = 2.0 * math.pi * np.arange(m) / m
-    pts = np.column_stack([np.cos(th), np.sin(th)])
-    return AngularRule(0, pts, np.full(m, 2.0 * math.pi / m))
 
 
 def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -154,22 +189,6 @@ def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
         u = u - pq / dp
     _, dp = legendre_and_deriv(u)
     return u, 2.0 / ((1.0 - u * u) * dp * dp)
-
-
-def _sphere_rule(m_azimuth: int) -> AngularRule:
-    q = (m_azimuth + 1) // 2  # Gauss-Legendre exact through polynomial degree 2q-1 >= m-1
-    u, gw = _gauss_legendre(q)
-    th = 2.0 * math.pi * np.arange(m_azimuth) / m_azimuth
-    s = np.sqrt(1.0 - u * u)
-    pts = np.empty((q * m_azimuth, 3))
-    w = np.empty(q * m_azimuth)
-    for i in range(q):
-        sl = slice(i * m_azimuth, (i + 1) * m_azimuth)
-        pts[sl, 0] = s[i] * np.cos(th)
-        pts[sl, 1] = s[i] * np.sin(th)
-        pts[sl, 2] = u[i]
-        w[sl] = gw[i] * 2.0 * math.pi / m_azimuth
-    return AngularRule(1, pts, w)
 
 
 def integrate_exponential(rule: BallRule, x, c: float) -> complex:
@@ -223,15 +242,7 @@ def truncation_bound(p: int, c: float, K: int) -> float:
 
 
 def surface_harmonic(p: int, N: int, ell: int, points: np.ndarray) -> np.ndarray:
-    """Orthonormal real surface harmonic S_N^ell at unit vectors ``points``.
-
-    Conventions: for p = 0, ell = 1 is cos(N theta)/sqrt(pi) and ell = 2
-    is sin(N theta)/sqrt(pi) (N = 0 has the single constant harmonic).
-    For p = 1 the real spherical harmonics are indexed ell = 1..2N+1 in
-    the order m = 0, (cos, sin) pairs for m = 1..N.  For p = -1 the two
-    harmonics are the constant and the sign function, scaled to unit
-    norm.  This is row ell - 1 of :func:`surface_harmonics`.
-    """
+    """Orthonormal real surface harmonic S_N^ell, row ell - 1 of :func:`surface_harmonics`."""
     h = harmonic_count(p, N)
     if not 1 <= ell <= h:
         raise ValueError(f"ell must lie in 1..{h} for p={p}, N={N}")
@@ -239,30 +250,38 @@ def surface_harmonic(p: int, N: int, ell: int, points: np.ndarray) -> np.ndarray
 
 
 def surface_harmonics(p: int, N: int, points: np.ndarray) -> np.ndarray:
-    """Every surface harmonic of order N at unit vectors ``points``, row ell - 1 S_N^ell.
+    """Every orthonormal real surface harmonic of order N at unit vectors ``points``.
 
-    For p = 1 one ``sph_harm_y`` call gives the complex harmonics of all
-    orders m = 0..N; the cos and sin harmonics are their real and imaginary parts.
+    Row ell - 1 is S_N^ell.  For p = 0, ell = 1 is cos(N phi)/sqrt(pi) and
+    ell = 2 sin(N phi)/sqrt(pi) (N = 0 has the one constant harmonic).  For
+    p = 1, ell = 1..2N+1 are m = 0, then (cos, sin) pairs for m = 1..N.  For
+    p = -1 they are the constant and the sign function, of unit norm.
     """
-    if p == 0:
-        if N == 0:
-            return np.full((1, len(points)), 1.0 / math.sqrt(2.0 * math.pi))
-        th = np.arctan2(points[:, 1], points[:, 0])
-        return np.stack([np.cos(N * th), np.sin(N * th)]) / math.sqrt(math.pi)
-    if p == -1:
-        S = np.ones((1, len(points))) if N == 0 else np.sign(points[None, :, 0])
-        return S[: harmonic_count(p, N)] / math.sqrt(2.0)
-    if p == 1:
-        from scipy.special import sph_harm_y
+    u = points[:, -1] if p != 0 else np.zeros(len(points))
+    phi = np.arctan2(points[:, 1], points[:, 0]) if p >= 0 else np.zeros(len(points))
+    k, theta = _polar_factors(p, N, u)
+    kphi = np.abs(k)[:, None] * phi
+    return theta * np.where(k[:, None] >= 0, np.cos(kphi), np.sin(kphi))
 
-        theta = np.arccos(np.clip(points[:, 2], -1.0, 1.0))
-        phi = np.arctan2(points[:, 1], points[:, 0])
+
+def _polar_factors(p: int, N: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed azimuthal frequency k and polar factor theta of each harmonic of order N.
+
+    S_N^ell = theta[ell - 1](u) times cos(k phi), or sin(|k| phi) for k < 0.  On
+    the sphere theta is sph_legendre_p times sqrt(2) (-1)^k for k != 0.
+    """
+    if p == -1:
+        theta = (np.ones_like(u) if N == 0 else np.sign(u))[None, :] / math.sqrt(2.0)
+        return np.zeros(harmonic_count(p, N), dtype=int), theta[: harmonic_count(p, N)]
+    if p == 0:
+        k = np.array([0]) if N == 0 else np.array([N, -N])
+        return k, np.full((len(k), len(u)), 1.0 / math.sqrt(2.0 * math.pi if N == 0 else math.pi))
+    if p == 1:
+        from scipy.special import sph_legendre_p
+
         m = np.arange(N + 1)
-        y = sph_harm_y(N, m[:, None], theta, phi)
-        scale = (math.sqrt(2.0) * (-1.0) ** m[1:])[:, None]
-        out = np.empty((2 * N + 1, len(points)))
-        out[0] = np.real(y[0])
-        out[1::2] = scale * np.real(y[1:])
-        out[2::2] = scale * np.imag(y[1:])
-        return out
+        P = sph_legendre_p(N, m[:, None], np.arccos(np.clip(u, -1.0, 1.0))).reshape(N + 1, len(u))
+        P[1:] *= (math.sqrt(2.0) * (-1.0) ** m[1:])[:, None]
+        k = np.concatenate([[0], np.stack([m[1:], -m[1:]], axis=1).reshape(-1)])
+        return k, P[np.abs(k)]
     raise ValueError(f"surface harmonics implemented for p in (-1, 0, 1), got {p}")

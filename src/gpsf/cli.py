@@ -137,6 +137,9 @@ def _cmd_ball_integrate(args) -> None:
 
 def _cmd_interp(args) -> None:
     dim = args.p + 2
+    if args.Nmax < 0 or args.nmax < 0:
+        raise ValidationError(
+            f"Nmax and nmax must be nonnegative, got Nmax={args.Nmax}, nmax={args.nmax}")
     if (args.x is None) == (args.samples is None):
         raise ValidationError("interp takes either --x or --samples, not both or neither")
     if args.x is not None:

@@ -4,8 +4,8 @@ A function with band limit c is expanded over the products
 Phi_{N,n}(|x|) S_N^ell(x/|x|).  Because the product of the function with
 one basis element is band-limited at 2c, sampling on a tensor rule built
 for band limit 2c recovers every coefficient whose eigenvalue is above
-the noise floor.  On the disk the angular sums collapse to an FFT over
-the equispaced angles.
+the noise floor.  The angular sums over the tensor rule separate: one
+FFT over the equispaced longitudes, then a sum over the polar nodes.
 """
 
 from __future__ import annotations
@@ -156,21 +156,6 @@ def _check_cache(cache: ChannelCache, p: int, c: float, nmax: int) -> None:
         raise ValueError(f"mode n={nmax} exceeds the channel cache's nmax={cache.nmax}")
 
 
-def _angular_projection(rule: BallRule, F: np.ndarray, G, S, N: int, ell: int) -> np.ndarray:
-    """Integral over the sphere of f(r_j .) S_N^ell at every radial node r_j.
-
-    ``G`` holds the disk's FFT bins G[j, k] = integral f e^(-i k th), or is
-    None for the generic sum over the angular nodes of ``F``, with ``S``
-    the harmonics of order N at those nodes.
-    """
-    if G is None:
-        return F @ (rule.angular.weights * S[ell - 1])
-    if N == 0:
-        return G[:, 0] / math.sqrt(2.0 * math.pi)
-    pos, neg = G[:, N], G[:, -N % G.shape[1]]
-    return (0.5 * (pos + neg) if ell == 1 else 0.5j * (pos - neg)) / math.sqrt(math.pi)
-
-
 def recover_coeffs(
     rule: BallRule,
     samples: np.ndarray,
@@ -181,10 +166,9 @@ def recover_coeffs(
     """Project sampled values of a band-limited function onto the basis.
 
     Each channel N is tabulated once at the radial nodes, for all its
-    cached modes, and weighted by the radial rule once; its harmonics are
-    formed once at the angular nodes (on the disk one FFT of the samples
-    stands in for them), and each angular projection once per (N, ell),
-    which gives every n of that pair in one array sum.
+    cached modes, and weighted by the radial rule once.  One angular
+    transform of the samples gives every (N, ell) projection, and each
+    coefficient is one array sum over the radial nodes.
 
     Parameters
     ----------
@@ -230,25 +214,16 @@ def recover_coeffs(
         wanted.setdefault(N, []).append((ell, n))
     terms: dict[tuple[int, int, int], complex] = {}
     unreliable = set()
-    rweights = rule.radial.weights
-    F = samples.reshape(len(rule.radial.nodes), rule.angular.count)
-    G = np.fft.fft(F, axis=1) * (2.0 * math.pi / rule.angular.count) if p == 0 else None
+    projections = rule.angular.projections(samples.reshape(len(rule.radial.nodes), -1), sorted(wanted))
     for N in sorted(wanted):
         triples = cache.triples(N)
-        W = tabulate(cache.modes(N), rule.radial.nodes) * rweights
-        S = surface_harmonics(p, N, rule.angular.points) if G is None else None
-        by_ell: dict[int, list[int]] = {}
-        for ell, n in wanted[N]:
-            by_ell.setdefault(ell, []).append(n)
-        coeffs: dict[tuple[int, int], complex] = {}
-        for ell, ns in by_ell.items():
-            ang = _angular_projection(rule, F, G, S, N, ell)
-            coeffs.update(zip(((ell, n) for n in ns), np.sum(W[ns] * ang, axis=1).tolist()))
-        for ell, n in wanted[N]:
-            key = (N, ell, n)
-            terms[key] = coeffs[ell, n]
+        W = tabulate(cache.modes(N), rule.radial.nodes) * rule.radial.weights
+        ells, ns = np.array(wanted[N]).T
+        sums = np.sum(W[ns] * projections[N][ells - 1], axis=1).tolist()
+        for (ell, n), coeff in zip(wanted[N], sums):
+            terms[N, ell, n] = coeff
             if n >= len(triples) or abs(triples[n].lam) < _RELIABLE_FLOOR:
-                unreliable.add(key)
+                unreliable.add((N, ell, n))
     return GpsfExpansion(p, c, terms, frozenset(unreliable))
 
 
@@ -264,6 +239,8 @@ def synthesize(
     S_N^ell(x/|x|) once per N; the terms are summed in sorted order.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape != (expansion.p + 2,):
+        raise ValueError(f"point must have {expansion.p + 2} coordinates, got shape {x.shape}")
     r = float(np.linalg.norm(x))
     if r > 1.0 + 1e-12:
         raise ValueError("evaluation point must lie in the closed unit ball")

@@ -10,6 +10,8 @@ from gpsf.prolate import ProlateChannel
 from golden import DISK_INTEGRAL_EXACT
 from oracles import gauss_legendre_01_mp
 
+EPS = np.finfo(float).eps
+
 
 class TestAngularRule:
     # m angles integrate surface harmonics of degree up to m - 1
@@ -60,9 +62,11 @@ class TestAngularRule:
     @pytest.mark.parametrize("p", [-1, 0, 1])
     def test_harmonic_table_matches_per_index_formula(self, p):
         # each row of surface_harmonics equals, bit for bit, the harmonic
-        # written out per (N, ell): cos/sin on the circle, and on the
-        # sphere the real or imaginary part of its own sph_harm_y call
-        from scipy.special import sph_harm_y
+        # written out per (N, ell) as polar factor times cos or sin: on the
+        # sphere sqrt(2) (-1)^m times its own sph_legendre_p call; and it
+        # agrees to round-off with cos/sin over sqrt(pi) on the circle and
+        # with the real or imaginary part of sph_harm_y on the sphere
+        from scipy.special import sph_harm_y, sph_legendre_p
 
         pts = gpsf.angular_rule_from_count(p, 14).points
         theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0)) if p == 1 else None
@@ -73,17 +77,25 @@ class TestAngularRule:
             for ell in range(1, len(table) + 1):
                 if p == -1:
                     ref = (np.ones(len(pts)) if N == 0 else np.sign(pts[:, 0])) / math.sqrt(2.0)
+                    old = ref
                 elif p == 0 and N == 0:
                     ref = np.full(len(pts), 1.0 / math.sqrt(2.0 * math.pi))
+                    old = ref
                 elif p == 0:
-                    ref = (np.cos if ell == 1 else np.sin)(N * az) / math.sqrt(math.pi)
+                    trig = np.cos if ell == 1 else np.sin
+                    ref = 1.0 / math.sqrt(math.pi) * trig(N * az)
+                    old = trig(N * az) / math.sqrt(math.pi)
                 else:
                     m = ell // 2
+                    trig = np.cos if ell % 2 == 0 or ell == 1 else np.sin
+                    polar = sph_legendre_p(N, m, theta).reshape(-1)
+                    scale = 1.0 if m == 0 else math.sqrt(2.0) * (-1.0) ** m
+                    ref = scale * polar * trig(m * az)
                     y = sph_harm_y(N, m, theta, az)
-                    part = np.real(y) if ell % 2 == 0 or ell == 1 else np.imag(y)
-                    ref = part if m == 0 else math.sqrt(2.0) * (-1.0) ** m * part
+                    old = scale * (np.real(y) if trig is np.cos else np.imag(y))
                 assert np.array_equal(table[ell - 1], ref), (N, ell)
                 assert np.array_equal(surface_harmonic(p, N, ell, pts), ref)
+                assert np.max(np.abs(ref - old)) <= 2.0 * EPS * np.max(np.abs(old)), (N, ell)
 
     def test_interval_endpoints(self):
         rule = gpsf.angular_rule_from_count(-1, 4)
@@ -113,6 +125,43 @@ class TestPolarGaussLegendre:
         u_ref = np.array([float(2 * x - 1) for x in ref_nodes])
         assert np.max(np.abs(w - w_ref)) <= 4e-16
         assert np.max(np.abs(u - u_ref)) <= 2.3e-16
+
+
+class TestAngularProjections:
+    """One FFT over the longitudes and a polar sum per order give the quadrature
+    sums over the nodes, aliased orders with 2N >= m included."""
+
+    @staticmethod
+    def _per_node(rule, F, N):
+        # the sum over every node, kept as the reference
+        return (F @ (rule.weights * gpsf.surface_harmonics(rule.p, N, rule.points)).T).T
+
+    def _check(self, rule, F, orders, check_orders=None):
+        got = rule.projections(F, orders)
+        assert sorted(got) == sorted(orders)
+        refs = {N: self._per_node(rule, F, N) for N in (check_orders or orders)}
+        scale = max(np.max(np.abs(ref), initial=0.0) for ref in refs.values())
+        for N, ref in refs.items():
+            assert got[N].shape == (gpsf.harmonic_count(rule.p, N), len(F))
+            assert np.max(np.abs(got[N] - ref), initial=0.0) <= 4e-15 * scale
+
+    # the disk refuses orders with 2N >= m before it sums; the sphere sums them
+    @pytest.mark.parametrize("p, m, orders", [(-1, 3, range(3)), (0, 12, range(6)),
+                                              (1, 10, range(14)), (1, 9, range(12))])
+    def test_agrees_with_per_node_sum(self, p, m, orders):
+        rule = gpsf.angular_rule_from_count(p, m)
+        rng = np.random.default_rng(m)
+        F = rng.normal(size=(5, rule.count)) + 1j * rng.normal(size=(5, rule.count))
+        self._check(rule, F, list(orders))
+
+    def test_ball_at_c50(self):
+        # the default sampling rule of c=50 (angular count 300): every order
+        # up to 40 from one call, a spread of them against the per-node sum
+        c = 50.0
+        rule = gpsf.sampling_rule(1, c)
+        x = np.array([0.1, 0.2, 0.3])
+        F = np.exp(1j * c * (rule.nodes() @ x)).reshape(len(rule.radial.nodes), -1)
+        self._check(rule.angular, F, list(range(41)), check_orders=[0, 1, 2, 17, 39, 40])
 
 
 class TestTensorRule:

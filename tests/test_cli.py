@@ -495,6 +495,37 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "angular count must be positive" in err
 
+    @pytest.mark.parametrize("command", [["ball-integrate", "--radial", "gauss:10", "--angular", "-5"],
+                                         ["interp", "--Nmax", "1", "--nmax", "1",
+                                          "--angular-count", "-3"],
+                                         ["interp", "--Nmax", "1", "--nmax", "1",
+                                          "--angular-count", "0"]])
+    def test_interval_angular_count_checked_before_any_solve(self, capsys, monkeypatch, command):
+        from gpsf import interp
+
+        def no_solve(*a, **k):
+            raise AssertionError("a channel was solved before the angular count was checked")
+
+        for module, name in ((cli, "gaussian_rule"), (interp, "gaussian_rule"),
+                             (interp, "beta_chain")):
+            monkeypatch.setattr(module, name, no_solve)
+        code, out, err = run_cli([command[0], "--p", "-1", "--c", "20", "--x", "0.3"] + command[1:],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "angular count must be positive" in err
+
+    @pytest.mark.parametrize("flag", ["--Nmax", "--nmax"])
+    def test_interp_negative_order_limit_refused_before_the_rule(self, capsys, monkeypatch, flag):
+        def no_rule(*a, **k):
+            raise AssertionError("the sampling rule was built for a negative limit")
+
+        monkeypatch.setattr(cli, "sampling_rule", no_rule)
+        limits = {"--Nmax": "1", "--nmax": "1", flag: "-1"}
+        code, out, err = run_cli(["interp", "--p", "0", "--c", "10", "--x", "0.3,0.4"]
+                                 + [a for kv in limits.items() for a in kv], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "must be nonnegative" in err and f"{flag[2:]}=-1" in err
+
     def test_wrong_point_dimension(self, capsys):
         code, _, _ = run_cli(
             ["ball-integrate", "--p", "1", "--c", "20", "--x", "0.9,0.2",

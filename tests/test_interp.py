@@ -3,10 +3,9 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 
 import gpsf
-from gpsf import cli, interp, kernels, prolate
+from gpsf import ballquad, cli, interp, kernels, prolate
 from gpsf.ballquad import surface_harmonic
 from gpsf.interp import ChannelCache
 from gpsf.prolate import ProlateChannel
@@ -208,9 +207,10 @@ class TestSamplingRuleSizes:
             gpsf.sampling_rule(0, c)
 
 
-# (p, c, radial count, angular count, Nmax, nmax, fft): recovery sums by FFT on
-# the disk and over the angular nodes elsewhere; fft picks the per-term
-# reference's route on the disk, so that the FFT is checked against both
+# (p, c, radial count, angular count, Nmax, nmax, fft): recovery takes its angular
+# sums from one separable transform in every dimension; fft picks the per-term
+# reference's route on the disk (the disk's FFT bins or the sum over the nodes),
+# so that the transform is checked against both
 TABULATION_CASES = [
     (-1, 8.0, 12, 2, 1, 6, False),
     (0, 10.0, 14, 40, 5, 6, True),
@@ -306,24 +306,23 @@ class TestChannelTabulation:
             got = interp.synthesize(exp, y, cache=cache)
             assert abs(got - ref) <= 4e-15 * sum(abs(a) for a in exp.terms.values())
 
-    @pytest.mark.parametrize("case", [i for i, t in enumerate(TABULATION_CASES) if t[0] == 1])
+    @pytest.mark.parametrize("case", range(len(TABULATION_CASES)))
     def test_one_harmonic_per_order_and_index(self, tabulation_runs, monkeypatch, case):
-        # every S_N^ell comes from one harmonic table per order N, and the
-        # table from one sph_harm_y call over m = 0..N: the cos and sin
-        # harmonics of one (N, m) share their complex value
+        # recovery takes one polar-factor table per order N, at the rule's polar
+        # nodes, and no harmonic at the angular nodes; synthesis one harmonic
+        # table per order N, whose polar factors come from one table
         rule, samples, c, cache, modes, _ = tabulation_runs[case]
+        polar = _counting(monkeypatch, ballquad, "_polar_factors")
         tables = _counting(monkeypatch, interp, "surface_harmonics")
-        sph = _counting(monkeypatch, scipy.special, "sph_harm_y")
         exp = interp.recover_coeffs(rule, samples, c, modes, cache=cache)
         orders = sorted({N for N, _, _ in modes})
+        assert sorted(a[1] for a in polar) == orders
+        assert all(np.array_equal(a[2], rule.angular.polar) for a in polar)
+        assert tables == []
+        polar.clear()
+        interp.synthesize(exp, np.full(exp.p + 2, 0.2), cache=cache)
         assert sorted(a[1] for a in tables) == orders
-        assert sorted(a[0] for a in sph) == orders
-        assert all(np.array_equal(np.ravel(a[1]), np.arange(a[0] + 1)) for a in sph)
-        tables.clear()
-        sph.clear()
-        interp.synthesize(exp, [0.1, -0.2, 0.3], cache=cache)
-        assert sorted(a[1] for a in tables) == orders
-        assert sorted(a[0] for a in sph) == orders
+        assert sorted(a[1] for a in polar) == orders
 
 
 class TestOneBasisPassPerChannel:
@@ -332,17 +331,14 @@ class TestOneBasisPassPerChannel:
 
     @staticmethod
     def _per_term(rule, samples, cache, modes):
-        # one np.sum per term over the channel table, as recovery summed before
-        p = rule.radial.channel.p
+        # one np.sum per term over the channel table and the angular projections
         F = samples.reshape(len(rule.radial.nodes), rule.angular.count)
-        G = np.fft.fft(F, axis=1) * (2.0 * math.pi / rule.angular.count) if p == 0 else None
+        proj = rule.angular.projections(F, sorted({N for N, _, _ in modes}))
         ref = {}
-        for N in sorted({N for N, _, _ in modes}):
+        for N in sorted(proj):
             phi = prolate.tabulate(cache.modes(N), rule.radial.nodes)
-            S = gpsf.surface_harmonics(p, N, rule.angular.points) if G is None else None
             for _, ell, n in [m for m in modes if m[0] == N]:
-                ang = interp._angular_projection(rule, F, G, S, N, ell)
-                ref[(N, ell, n)] = complex(np.sum(rule.radial.weights * phi[n] * ang))
+                ref[(N, ell, n)] = complex(np.sum(rule.radial.weights * phi[n] * proj[N][ell - 1]))
         return ref
 
     # every n of each (N, ell) pair, or every other n: the rows picked from the
@@ -443,6 +439,18 @@ class TestRequestValidation:
         self._rejects(lambda: gpsf.recover_coeffs(disk_rule, np.zeros(disk_rule.count), 4.0,
                                                   [(0, 1, 8)], cache=ChannelCache(0, 4.0, 7)),
                       "exceeds the channel cache's nmax=7")
+
+    def test_disk_order_past_the_angular_rule(self, disk_rule, no_compute):
+        # 30 angles separate the harmonics of orders up to 14
+        self._rejects(lambda: gpsf.recover_coeffs(disk_rule, np.zeros(disk_rule.count), 4.0,
+                                                  [(0, 1, 0), (15, 2, 0)]),
+                      "angular rule with 30 nodes cannot separate order 15 harmonics")
+
+    @pytest.mark.parametrize("p, x", [(0, [0.1, 0.2, 0.3]), (0, [0.1]), (0, [[0.1, 0.2]]),
+                                      (1, [0.1, 0.2]), (-1, [0.1, 0.2])])
+    def test_synthesize_point_of_wrong_shape(self, p, x, no_compute):
+        exp = gpsf.GpsfExpansion(p, 4.0, {(0, 1, 0): 1.0 + 0.0j})
+        self._rejects(lambda: gpsf.synthesize(exp, x), f"point must have {p + 2} coordinates")
 
     def test_synthesize_empty_expansion(self, no_compute):
         self._rejects(lambda: gpsf.synthesize(gpsf.GpsfExpansion(0, 4.0, {}), [0.1, 0.2]),
