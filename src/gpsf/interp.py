@@ -22,7 +22,7 @@ from .ballquad import (
     surface_harmonics,
     truncation_bound,
 )
-from .prolate import ProlateChannel, ZernikeCoeffs, solve_channel, tabulate
+from .prolate import ProlateChannel, ZernikeCoeffs, solve_channel, tabulate_channels
 from .quadrature import gaussian_rule
 from .spectrum import EigenTriple, beta_chain, harmonic_count
 
@@ -38,6 +38,7 @@ __all__ = [
 _RELIABLE_FLOOR = 1e-3 * np.finfo(float).eps
 _MAX_DEGREE = 5000  # highest angular degree of a sampling rule, whose angular count is twice it
 _TRUNCATION_TARGET = 1e-15  # truncation envelope that sizes the default angular count
+_SYNTHESIS_ENTRIES = 1 << 18  # terms times points summed at once: bounds synthesis memory
 
 
 class ChannelCache:
@@ -165,10 +166,12 @@ def recover_coeffs(
 ) -> GpsfExpansion:
     """Project sampled values of a band-limited function onto the basis.
 
-    Each channel N is tabulated once at the radial nodes, for all its
-    cached modes, and weighted by the radial rule once.  One angular
-    transform of the samples gives every (N, ell) projection, and each
-    coefficient is one array sum over the radial nodes.
+    One basis build tabulates every requested order N at the radial nodes,
+    for all its cached modes, and each order's table is weighted by the
+    radial rule once.  One angular transform of the samples gives every
+    (N, ell) projection, and each coefficient is one array sum over the
+    radial nodes.  One comparison per order marks the modes whose
+    eigenvalue lies below the noise floor, or past the chain, unreliable.
 
     Parameters
     ----------
@@ -212,18 +215,20 @@ def recover_coeffs(
     wanted: dict[int, list[tuple[int, int]]] = {}
     for N, ell, n in modes:
         wanted.setdefault(N, []).append((ell, n))
+    orders = sorted(wanted)
     terms: dict[tuple[int, int, int], complex] = {}
     unreliable = set()
-    projections = rule.angular.projections(samples.reshape(len(rule.radial.nodes), -1), sorted(wanted))
-    for N in sorted(wanted):
-        triples = cache.triples(N)
-        W = tabulate(cache.modes(N), rule.radial.nodes) * rule.radial.weights
+    projections = rule.angular.projections(samples.reshape(len(rule.radial.nodes), -1), orders)
+    tables = tabulate_channels([cache.modes(N) for N in orders], rule.radial.nodes)
+    for N, table in zip(orders, tables):
+        W = table * rule.radial.weights
         ells, ns = np.array(wanted[N]).T
         sums = np.sum(W[ns] * projections[N][ells - 1], axis=1).tolist()
-        for (ell, n), coeff in zip(wanted[N], sums):
-            terms[N, ell, n] = coeff
-            if n >= len(triples) or abs(triples[n].lam) < _RELIABLE_FLOOR:
-                unreliable.add((N, ell, n))
+        keys = [(N, ell, n) for ell, n in wanted[N]]
+        terms.update(zip(keys, sums))
+        # |lambda| of every n up to nmax, 0 past the end of the chain
+        lam = np.array([abs(t.lam) for t in cache.triples(N)] + [0.0] * (nmax + 1))
+        unreliable.update(keys[i] for i in np.flatnonzero(lam[ns] < _RELIABLE_FLOOR))
     return GpsfExpansion(p, c, terms, frozenset(unreliable))
 
 
@@ -231,45 +236,64 @@ def synthesize(
     expansion: GpsfExpansion,
     x,
     cache: ChannelCache | None = None,
-) -> complex:
-    """Evaluate the expansion at a point of the closed unit ball.
+) -> complex | np.ndarray:
+    """Evaluate the expansion at points of the closed unit ball.
 
-    The radial functions of each order N are tabulated at |x| from one
-    basis build, for the n with a nonzero coefficient, and the harmonics
-    S_N^ell(x/|x|) once per N; the terms are summed in sorted order.
+    ``x`` is one point, of shape (p + 2,), whose value is returned as a
+    complex, or an (m, p + 2) array of points, whose values are returned as
+    an (m,) complex array.  One basis build tabulates every order N's radial
+    functions at every |x|, for the n with a nonzero coefficient, and one
+    harmonic table per N serves every direction; each point's terms are
+    summed in sorted order.  An expansion whose coefficients are all zero
+    is zero everywhere, with no basis build.  A point with a non-finite
+    coordinate, or outside the ball, raises ``ValueError`` before any
+    radial work.
     """
+    p = expansion.p
     x = np.asarray(x, dtype=float)
-    if x.shape != (expansion.p + 2,):
-        raise ValueError(f"point must have {expansion.p + 2} coordinates, got shape {x.shape}")
-    r = float(np.linalg.norm(x))
-    if r > 1.0 + 1e-12:
+    if x.ndim not in (1, 2) or x.shape[-1] != p + 2:
+        raise ValueError(f"point must have {p + 2} coordinates, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("evaluation point must have finite coordinates")
+    # one point's norm is a dot product, with the bits it always had; an array's is taken by rows
+    r = np.atleast_1d(np.linalg.norm(x) if x.ndim == 1 else np.linalg.norm(x, axis=1))
+    if np.any(r > 1.0 + 1e-12):
         raise ValueError("evaluation point must lie in the closed unit ball")
     if not expansion.terms:
         raise ValueError("expansion has no terms")
     nmax = max(n for _, _, n in expansion.terms)
     if cache is None:
-        cache = ChannelCache(expansion.p, expansion.c, nmax)
-    _check_cache(cache, expansion.p, expansion.c, nmax)
-    if r == 0.0:
-        xhat = np.zeros(expansion.p + 2)
-        xhat[0] = 1.0
-    else:
-        xhat = x / r
+        cache = ChannelCache(p, expansion.c, nmax)
+    _check_cache(cache, p, expansion.c, nmax)
+    points = np.atleast_2d(x)
+    xhat = np.zeros_like(points)
+    xhat[:, 0] = 1.0  # the direction taken at the origin
+    np.divide(points, r[:, None], out=xhat, where=r[:, None] > 0.0)
     terms = [(key, coeff) for key, coeff in sorted(expansion.terms.items()) if coeff != 0.0]
+    values = np.zeros(len(r), dtype=complex)
+    if terms:
+        step = max(1, _SYNTHESIS_ENTRIES // len(terms))
+        for i in range(0, len(r), step):
+            values[i : i + step] = _term_sums(p, terms, cache, r[i : i + step], xhat[i : i + step])
+    return complex(values[0]) if x.ndim == 1 else values
+
+
+def _term_sums(p, terms, cache, r, xhat):
+    # each point's sum of coeff * Phi_{N,n}(r) * S_N^ell(xhat) over the terms, in their order,
+    # from one basis build of every order N at r and one harmonic table per N
     kept: dict[int, set[int]] = {}
     for (N, _, n), _ in terms:
         kept.setdefault(N, set()).add(n)
-    phi: dict[tuple[int, int], float] = {}
-    harm: dict[int, list[float]] = {}
-    for N, ns in kept.items():
-        ns = sorted(ns)
-        modes = cache.modes(N)
-        phi.update(zip(((N, n) for n in ns), tabulate([modes[n] for n in ns], r)[:, 0].tolist()))
-        harm[N] = surface_harmonics(expansion.p, N, xhat[None, :])[:, 0].tolist()
-    total = 0.0 + 0.0j
-    for (N, ell, n), coeff in terms:
-        total += coeff * phi[N, n] * harm[N][ell - 1]
-    return total
+    ns = {N: sorted(kept[N]) for N in kept}
+    row = {key: i for i, key in enumerate((N, n) for N in ns for n in ns[N])}
+    phi = np.vstack(list(tabulate_channels([[cache.modes(N)[n] for n in ns[N]] for N in ns], r)))
+    harmonics = [surface_harmonics(p, N, xhat) for N in ns]
+    first = dict(zip(ns, np.cumsum([0] + [len(h) for h in harmonics]).tolist()))
+    coeffs = np.array([coeff for _, coeff in terms], dtype=complex)
+    products = (coeffs[:, None] * phi[[row[N, n] for (N, _, n), _ in terms]]
+                * np.vstack(harmonics)[[first[N] + ell - 1 for (N, ell, _), _ in terms]])
+    # cumsum adds the terms one after another, as a running total does; + 0.0 is its start at 0j
+    return np.cumsum(products, axis=0)[-1] + 0.0
 
 
 def coeff_bound(sigma_l2: float, triple: EigenTriple) -> float:

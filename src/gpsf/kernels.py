@@ -4,7 +4,9 @@ The normalized radial polynomials Rbar_k(r) = scale[k] P_k^(alpha,0)(1-2r^2) r^N
 come from the Jacobi three-term recurrence.  ``rbar_basis`` and
 ``rbar_basis_with_deriv`` tabulate them as K-by-m matrices, one row per
 degree; every evaluation of the radial functions, at one radius or many,
-is a product with such a matrix.
+is a product with such a matrix.  Given per-column alpha and N, one
+recurrence pass serves the columns of several channels at once, each
+column with the bits of its own channel's build.
 """
 
 import itertools
@@ -61,23 +63,57 @@ def _powers(N, r):
     return r**N, drn
 
 
+def _column_tables(alpha, K):
+    # (c0, a1, b, scale) of each column's alpha, K - 2 rows (K for scale) by column,
+    # copied from the one table per distinct alpha
+    alphas, col = np.unique(alpha, return_inverse=True)
+    n = max(K - 2, 0)
+    tables = np.array([np.concatenate([c0[:n], a1[:n], b[:n], scale[:K]])
+                       for c0, a1, b, scale in (_recurrence_tables(float(a), K)[0] for a in alphas)])
+    tables = tables.reshape(len(alphas), 3 * n + K)  # the shape also when there are no columns
+    return np.split(np.take(tables.T, col, axis=1), [n, 2 * n, 3 * n])
+
+
+def _column_powers(N, r):
+    # _powers of each column's N, taken on the radii of all columns with that N
+    order = np.argsort(N, kind="stable")
+    Ns, first = np.unique(N[order], return_index=True)
+    rn, drn = np.empty_like(r), np.empty_like(r)
+    for n, cols in zip(Ns.tolist(), np.split(order, first[1:])):
+        rn[cols], drn[cols] = _powers(n, r[cols])
+    return rn, drn
+
+
 def rbar_basis(alpha, N, K, r):
-    """Basis matrix B[k, i] of the normalized radial polynomials at r[i]."""
+    """Basis matrix B[k, i] of the normalized radial polynomials at r[i].
+
+    ``alpha`` and ``N`` are scalars, or arrays with one entry per column of
+    ``r``; column i of a batched matrix has the bits of the scalar call at
+    (alpha[i], N[i]) and radius r[i].
+    """
     return _basis(alpha, N, K, r, False)[0]
 
 
 def rbar_basis_with_deriv(alpha, N, K, r):
-    """(B, dB/dr) pair for the normalized radial polynomials at r[i]."""
+    """(B, dB/dr) pair for the normalized radial polynomials at r[i]; batched as ``rbar_basis``."""
     return _basis(alpha, N, K, r, True)
 
 
 def _basis(alpha, N, K, r, deriv):
     r = np.ascontiguousarray(r, dtype=np.float64)
-    arrays, lists = _recurrence_tables(alpha, K)
-    c0, a1, _, scale = arrays  # whole-table products
-    _, a1s, b, _ = lists  # per-row factors, as floats
+    if np.ndim(alpha) == 0:
+        arrays, lists = _recurrence_tables(alpha, K)
+        c0, a1, _, scale = (a[:, None] for a in arrays)  # whole-table products
+        _, a1s, b, _ = lists  # per-row factors, as floats
+    else:  # a column of c0, a1, b and scale for each column of r
+        alpha = np.asarray(alpha, dtype=np.float64)
+        c0, a1, b, scale = _column_tables(alpha, K)
+        a1s = a1  # per-row factors, as rows
+    if np.ndim(N) == 0:
+        rn, drn = _powers(N, r)
+    else:
+        rn, drn = _column_powers(np.asarray(N), r)
     x = r * r
-    rn, drn = _powers(N, r)
     # rows of P_k(y(r)) and, with deriv, P_k'(y(r)), written in place; ay[k - 2]
     # is the recurrence factor c0 - 2 a1 x of row k
     P = np.empty((K, r.shape[0]))
@@ -90,8 +126,8 @@ def _basis(alpha, N, K, r, deriv):
         P[1] = (alpha + 1.0) - (alpha + 2.0) * x
         if deriv:
             D[1] = (alpha + 2.0) / 2.0
-        ay = (2.0 * a1[: K - 2, None]) * x
-        np.subtract(c0[: K - 2, None], ay, out=ay)
+        ay = (2.0 * a1[: K - 2]) * x
+        np.subtract(c0[: K - 2], ay, out=ay)
         for k in range(2, K):
             if deriv:
                 np.multiply(ay[k - 2], D[k - 1], out=D[k])
@@ -99,7 +135,7 @@ def _basis(alpha, N, K, r, deriv):
                 D[k] += np.multiply(a1s[k - 2], P[k - 1], out=tmp)
             np.multiply(ay[k - 2], P[k - 1], out=P[k])
             P[k] -= np.multiply(b[k - 2], P[k - 2], out=tmp)
-    scale = scale[:K, None]
+    scale = scale[:K]
     if deriv:
         # d/dr [P(y(r)) r^N] = P'(y) (-4r) r^N + P(y) N r^(N-1)
         D *= -4.0 * r

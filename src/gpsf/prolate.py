@@ -14,6 +14,7 @@ on [0, 1].
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -31,6 +32,7 @@ __all__ = [
     "choose_truncation",
     "solve_channel",
     "tabulate",
+    "tabulate_channels",
     "eval_phi",
     "eval_phi_deriv",
     "eval_phi_and_deriv",
@@ -42,6 +44,7 @@ _SUPPORT_CUT = 1e-20  # coefficients at or below it are left out of evaluation
 _MAX_TRUNCATION = 20_000  # most Zernike coefficients per mode: band limits up to about 14700
 _MAX_VECTOR_ENTRIES = 25_000_000  # most eigenvector entries K * (nmax + 1) per solve: 200 MB
 _MIN_BAND_LIMIT = 1e-60  # at 1e-75 inverse iteration gets the coefficients of order c^2 wrong
+_BLOCK_ENTRIES = 1 << 15  # most basis entries (rows times columns) of a batched build of several channels
 # All K eigenvalues by root-free QR (dsterf, 17-26 ns K^2) against the m lowest by bisection
 # (dstebz, 370-420 ns K m), one BLAS thread, 2-vCPU Xeon VM: they break even at m = K/16 for
 # K = 38 and m = K/22 for K = 1370, so QR is taken from m = K/16 on.
@@ -298,26 +301,84 @@ def _as_points(r) -> np.ndarray:
     return np.atleast_1d(np.ascontiguousarray(r, dtype=float))
 
 
+def _stacked(modes):
+    # (channel, K, A): the modes' one channel, their widest support and the
+    # coefficient vector, or the stacked vectors, cut to it
+    if isinstance(modes, ZernikeCoeffs):
+        return modes.channel, modes.support, modes.coeffs[: modes.support]
+    if len(modes) == 0:
+        raise ValueError("no modes to tabulate")
+    ch = modes[0].channel
+    # one solve's modes share one channel object, so identity settles most of them
+    if any(m.channel is not ch and m.channel != ch for m in modes):
+        raise ValueError("tabulated modes must share one channel")
+    A = np.array([m.coeffs for m in modes])
+    # the widest support from one comparison: the last column with an entry above the cut,
+    # or every column when a row has none (as ZernikeCoeffs.support takes it)
+    above = np.abs(A) > _SUPPORT_CUT
+    K = int(np.flatnonzero(above.any(axis=0))[-1]) + 1 if above.any(axis=1).all() else A.shape[1]
+    return ch, K, np.ascontiguousarray(A[:, :K])
+
+
 def tabulate(modes, r, deriv=False):
     """Phi of modes of one channel at radii in [0, 1], from one basis build.
 
-    ``modes`` is one ZernikeCoeffs or a sequence of modes of one channel;
-    the table is A @ B, with A the coefficient vector or the stacked vectors
+    ``modes`` is one ZernikeCoeffs or a sequence of modes of one channel
+    whose coefficient vectors have one length, as one solve's modes do; the
+    table is A @ B, with A the coefficient vector or the stacked vectors
     (one row per mode) and B the radial basis at ``r``.  A and B stop at the
     largest ``support`` among the modes.  With ``deriv`` it is the pair
-    (A @ B, A @ dB/dr).
+    (A @ B, A @ dB/dr).  Several channels at the same radii are tabulated
+    together by :func:`tabulate_channels`.
     """
-    single = isinstance(modes, ZernikeCoeffs)
-    ch = modes.channel if single else modes[0].channel
-    if not single and any(m.channel != ch for m in modes):
-        raise ValueError("tabulated modes must share one channel")
-    K = modes.support if single else max(m.support for m in modes)
-    A = modes.coeffs[:K] if single else np.vstack([m.coeffs[:K] for m in modes])
+    ch, K, A = _stacked(modes)
     r = _as_points(r)
     if deriv:
         B, D = kernels.rbar_basis_with_deriv(ch.alpha, ch.N, K, r)
         return A @ B, A @ D
     return A @ kernels.rbar_basis(ch.alpha, ch.N, K, r)
+
+
+def tabulate_channels(mode_lists, r):
+    """Phi of several channels' modes at the same radii: an iterator over one table per channel.
+
+    Table i is ``tabulate(mode_lists[i], r)`` bit for bit.  One basis build
+    serves a block of consecutive channels, its columns running over
+    (channel, radius) with each column's alpha and N.  A block holds at
+    least one channel, and more while its widest support times its columns
+    stays within 32768 entries; the blocks are built as the tables are
+    read, so that a large request holds one block's basis, coefficients
+    and tables at a time.
+    """
+    if len(mode_lists) == 0:
+        raise ValueError("no channels to tabulate")
+    r = _as_points(r)
+    blocks = _channel_blocks(mode_lists, len(r))
+    return itertools.chain.from_iterable(_block_tables(block, K, r) for block, K in blocks)
+
+
+def _block_tables(block, K, r):
+    # the tables of one block of stacked channels, from one basis build
+    m = len(r)
+    B = kernels.rbar_basis(np.repeat([ch.alpha for ch, _, _ in block], m),
+                           np.repeat([ch.N for ch, _, _ in block], m), K, np.tile(r, len(block)))
+    # each channel's rows and columns copied out contiguous, as its own build returns them,
+    # so that the product rounds as tabulate's does
+    return [A @ np.ascontiguousarray(B[:k, j * m : (j + 1) * m]) for j, (_, k, A) in enumerate(block)]
+
+
+def _channel_blocks(mode_lists, m):
+    # (block, K): the stacked modes of consecutive channels and their widest support, a block
+    # at a time, so that only one block's coefficients are held
+    block, K = [], 0
+    for modes in mode_lists:
+        stack = _stacked(modes)
+        if block and max(K, stack[1]) * (len(block) + 1) * m > _BLOCK_ENTRIES:
+            yield block, K
+            block, K = [], 0
+        block.append(stack)
+        K = max(K, stack[1])
+    yield block, K
 
 
 def eval_phi_and_deriv(mode: ZernikeCoeffs, r):

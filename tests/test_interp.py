@@ -276,10 +276,15 @@ def tabulation_runs():
 class TestChannelTabulation:
     @pytest.mark.parametrize("case", range(len(TABULATION_CASES)))
     def test_one_basis_build_per_channel(self, tabulation_runs, monkeypatch, case):
+        # one build for every order, its columns running over (order, radial node)
         rule, samples, c, cache, modes, _ = tabulation_runs[case]
         calls = _counting(monkeypatch, kernels, "rbar_basis")
         interp.recover_coeffs(rule, samples, c, modes, cache=cache)
-        assert sorted(a[1] for a in calls) == sorted({N for N, _, _ in modes})
+        orders = sorted({N for N, _, _ in modes})
+        assert len(calls) == 1
+        _, N, _, r = calls[0]
+        assert np.array_equal(N, np.repeat(orders, len(rule.radial.nodes)))
+        assert np.array_equal(r, np.tile(rule.radial.nodes, len(orders)))
 
     @pytest.mark.parametrize("case", range(len(TABULATION_CASES)))
     def test_coefficients_match_per_term_loop(self, tabulation_runs, case):
@@ -307,6 +312,51 @@ class TestChannelTabulation:
             assert abs(got - ref) <= 4e-15 * sum(abs(a) for a in exp.terms.values())
 
     @pytest.mark.parametrize("case", range(len(TABULATION_CASES)))
+    def test_unreliable_modes_match_per_term_rule(self, tabulation_runs, case):
+        # per term: past the end of the chain, or |lambda| below the floor; the chain is
+        # also cut to three modes, as a truncated chain would be
+        rule, samples, c, cache, modes, _ = tabulation_runs[case]
+
+        class ShortChains(ChannelCache):
+            def triples(self, N):
+                return super().triples(N)[:3]
+
+        short = ShortChains(cache.p, cache.c, cache.nmax)
+        for cache_ in (cache, short):
+            got = interp.recover_coeffs(rule, samples, c, modes, cache=cache_).unreliable
+            ref = {(N, ell, n) for N, ell, n in modes
+                   if n >= len(cache_.triples(N)) or abs(cache_.triples(N)[n].lam) < interp._RELIABLE_FLOOR}
+            assert got == ref
+        assert any(n >= 3 for _, _, n in got)
+
+    @pytest.mark.parametrize("case", range(len(TABULATION_CASES)))
+    def test_many_points_match_one_point_calls(self, tabulation_runs, monkeypatch, case):
+        # an (m, p + 2) array of points: one basis build and one harmonic table per order
+        # for all of them.  Its products round apart from m one-point calls (one matrix
+        # product against m vector products), within 4e-16 of each point's sum of |term|
+        # here; the bound is 1e-15 of it
+        rule, samples, c, cache, modes, _ = tabulation_runs[case]
+        exp = interp.recover_coeffs(rule, samples, c, modes, cache=cache)
+        p = exp.p
+        rng = np.random.default_rng(10 + case)
+        points = np.vstack([np.zeros(p + 2), np.eye(p + 2)[-1], rng.uniform(-0.55, 0.55, (9, p + 2))])
+        builds = _counting(monkeypatch, kernels, "rbar_basis")
+        tables = _counting(monkeypatch, interp, "surface_harmonics")
+        got = interp.synthesize(exp, points, cache=cache)
+        assert len(builds) == 1
+        assert sorted(a[1] for a in tables) == sorted({N for N, _, _ in exp.terms})
+        assert got.shape == (len(points),) and got.dtype == complex
+        for y, value in zip(points, got):
+            r = float(np.linalg.norm(y))
+            yhat = y / r if r > 0.0 else np.eye(p + 2)[0]
+            size = sum(abs(a * gpsf.eval_phi(cache.modes(N)[n], r)
+                           * float(surface_harmonic(p, N, ell, yhat[None, :])[0]))
+                       for (N, ell, n), a in exp.terms.items())
+            assert abs(value - interp.synthesize(exp, y, cache=cache)) <= 1e-15 * size
+        assert interp.synthesize(exp, points[2:3], cache=cache).shape == (1,)
+        assert interp.synthesize(exp, points[:0], cache=cache).shape == (0,)
+
+    @pytest.mark.parametrize("case", range(len(TABULATION_CASES)))
     def test_one_harmonic_per_order_and_index(self, tabulation_runs, monkeypatch, case):
         # recovery takes one polar-factor table per order N, at the rule's polar
         # nodes, and no harmonic at the angular nodes; synthesis one harmonic
@@ -327,7 +377,7 @@ class TestChannelTabulation:
 
 class TestOneBasisPassPerChannel:
     """Recovery weights each channel's table once and sums every n of an (N, ell)
-    pair in one array sum; synthesis tabulates each channel once per point."""
+    pair in one array sum; synthesis tabulates every channel from one basis build."""
 
     @staticmethod
     def _per_term(rule, samples, cache, modes):
@@ -375,7 +425,9 @@ class TestOneBasisPassPerChannel:
         builds = _counting(monkeypatch, kernels, "rbar_basis")
         y = np.full(exp.p + 2, 0.35)
         got = interp.synthesize(exp, y, cache=cache)
-        assert sorted(a[1] for a in builds) == sorted({N for N, _, _ in exp.terms})
+        # one build, one column per order at |y|
+        assert len(builds) == 1
+        assert builds[0][1].tolist() == sorted({N for N, _, _ in exp.terms})
         r = float(np.linalg.norm(y))
         ref = 0.0 + 0.0j
         for (N, ell, n), a in sorted(exp.terms.items()):
@@ -389,7 +441,7 @@ class TestOneBasisPassPerChannel:
         kept = {k: (v if k[0] == 2 else 0.0j) for k, v in exp.terms.items()}
         builds = _counting(monkeypatch, kernels, "rbar_basis")
         got = interp.synthesize(gpsf.GpsfExpansion(exp.p, c, kept), [0.2, -0.1], cache=cache)
-        assert [a[1] for a in builds] == [2]
+        assert [a[1].tolist() for a in builds] == [[2]]
         assert got == interp.synthesize(
             gpsf.GpsfExpansion(exp.p, c, {k: v for k, v in kept.items() if v != 0.0}), [0.2, -0.1],
             cache=cache)
@@ -403,9 +455,9 @@ class TestRequestValidation:
         def refuse(*a, **k):
             raise AssertionError("compute started before validation")
 
-        # tabulate is recovery's and synthesis's one radial evaluation
+        # tabulate_channels is recovery's and synthesis's one radial evaluation
         monkeypatch.setattr(interp, "solve_channel", refuse)
-        monkeypatch.setattr(interp, "tabulate", refuse)
+        monkeypatch.setattr(interp, "tabulate_channels", refuse)
 
     @pytest.fixture(scope="class")
     def disk_rule(self):
@@ -446,11 +498,28 @@ class TestRequestValidation:
                                                   [(0, 1, 0), (15, 2, 0)]),
                       "angular rule with 30 nodes cannot separate order 15 harmonics")
 
-    @pytest.mark.parametrize("p, x", [(0, [0.1, 0.2, 0.3]), (0, [0.1]), (0, [[0.1, 0.2]]),
-                                      (1, [0.1, 0.2]), (-1, [0.1, 0.2])])
+    # an (m, p + 2) array is m points; a (1, 3) array on the disk, or three axes, is refused
+    @pytest.mark.parametrize("p, x", [(0, [0.1, 0.2, 0.3]), (0, [0.1]), (0, [[0.1, 0.2, 0.3]]),
+                                      (1, [0.1, 0.2]), (-1, [0.1, 0.2]), (0, [[[0.1, 0.2]]]),
+                                      (0, 0.1)])
     def test_synthesize_point_of_wrong_shape(self, p, x, no_compute):
         exp = gpsf.GpsfExpansion(p, 4.0, {(0, 1, 0): 1.0 + 0.0j})
         self._rejects(lambda: gpsf.synthesize(exp, x), f"point must have {p + 2} coordinates")
+
+    @pytest.mark.parametrize("x", [[math.nan, 0.2], [math.inf, 0.0], [0.1, -math.inf],
+                                   [[0.1, 0.2], [math.nan, 0.0]]])
+    def test_synthesize_non_finite_point(self, x, no_compute):
+        # a NaN norm passes the ball check, so finiteness is checked on its own
+        exp = gpsf.GpsfExpansion(0, 4.0, {(0, 1, 0): 1.0 + 0.0j})
+        self._rejects(lambda: gpsf.synthesize(exp, x), "finite")
+
+    def test_synthesize_zero_coefficients(self, no_compute):
+        # every coefficient zero: zero at every point, with no solve and no basis build
+        exp = gpsf.GpsfExpansion(0, 4.0, {(0, 1, 0): 0.0j, (2, 2, 1): 0.0})
+        value = gpsf.synthesize(exp, [0.1, 0.2])
+        assert type(value) is complex and value == 0j
+        values = gpsf.synthesize(exp, np.full((3, 2), 0.3))
+        assert values.dtype == complex and values.tolist() == [0j] * 3
 
     def test_synthesize_empty_expansion(self, no_compute):
         self._rejects(lambda: gpsf.synthesize(gpsf.GpsfExpansion(0, 4.0, {}), [0.1, 0.2]),

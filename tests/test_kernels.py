@@ -150,6 +150,38 @@ class TestBasisRowLoop:
         assert kernels.rbar_basis(alpha, N, K, self.RADII).tobytes() == B_ref.tobytes()
 
 
+class TestBatchedColumns:
+    """One batched build over mixed alphas and N: each channel's column block has the bits
+    of that channel's own build."""
+
+    CHANNELS = [(p, N) for p in (-1, 0, 1) for N in (0, 1, 5)]
+    RADII = np.array([0.0, 1e-6, 1.0])
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 37, 607])
+    def test_column_blocks_bit_identical(self, K):
+        m = len(self.RADII)
+        alpha = np.repeat([N + p / 2.0 for p, N in self.CHANNELS], m)
+        N = np.repeat([N for _, N in self.CHANNELS], m)
+        r = np.tile(self.RADII, len(self.CHANNELS))
+        B, D = kernels.rbar_basis_with_deriv(alpha, N, K, r)
+        B_only = kernels.rbar_basis(alpha, N, K, r)
+        for j, (p, n) in enumerate(self.CHANNELS):
+            cols = slice(j * m, (j + 1) * m)
+            B_ref, D_ref = kernels.rbar_basis_with_deriv(n + p / 2.0, n, K, self.RADII)
+            assert np.ascontiguousarray(B[:, cols]).tobytes() == B_ref.tobytes(), (p, n)
+            assert np.ascontiguousarray(D[:, cols]).tobytes() == D_ref.tobytes(), (p, n)
+            assert np.ascontiguousarray(B_only[:, cols]).tobytes() == B_ref.tobytes(), (p, n)
+
+    def test_interleaved_columns(self):
+        # columns need not be grouped by channel: each takes its own alpha and N
+        alpha = np.array([5.5, 0.0, 5.5, -0.5, 0.0])
+        N = np.array([5, 0, 5, 0, 0])
+        r = np.array([0.3, 0.3, 0.9, 1e-6, 1.0])
+        B = kernels.rbar_basis(alpha, N, 40, r)
+        for i in range(len(r)):
+            assert B[:, i].tobytes() == kernels.rbar_basis(float(alpha[i]), int(N[i]), 40, r[i : i + 1]).tobytes()
+
+
 class TestRecurrenceTables:
     """One table per alpha, grown on demand, whose prefixes serve every shorter K."""
 

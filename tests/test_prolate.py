@@ -382,6 +382,24 @@ class TestSupport:
         for m in modes[::57]:
             assert np.all(np.abs(m.coeffs[m.support:]) <= 1e-20) and abs(m.coeffs[m.support - 1]) > 1e-20
 
+    def test_widest_support_from_the_stacked_modes(self, monkeypatch):
+        # a stack of modes is cut at its last column with an entry above 1e-20, and kept
+        # whole when a row has no such entry, as the largest per-mode support would give
+        from gpsf import kernels
+        from gpsf.prolate import ZernikeCoeffs
+
+        ch = ProlateChannel(0, 3.0, 1)
+        short = ZernikeCoeffs(ch, 0, 0.0, np.array([0.6, -0.8, 1e-20, 0.0, 0.0]))
+        longer = ZernikeCoeffs(ch, 1, 0.0, np.array([0.0, 0.6, 0.0, -0.8, 1e-21]))
+        tiny = ZernikeCoeffs(ch, 2, 0.0, np.full(5, 1e-21))
+        rows = []
+        real = kernels.rbar_basis
+        monkeypatch.setattr(kernels, "rbar_basis", lambda *a: rows.append(a[2]) or real(*a))
+        for modes in ([short], [short, longer], [short, tiny], [longer, short]):
+            assert gpsf.prolate.tabulate(modes, np.linspace(0.0, 1.0, 7)).shape == (len(modes), 7)
+            assert rows.pop() == max(m.support for m in modes)
+        assert [m.support for m in (short, longer, tiny)] == [2, 4, 5]
+
     @pytest.mark.parametrize("p,c,N,n", [(0, 5.0, 40, 6), (0, 1000.0, 0, 399), (-1, 20.0, 1, 15)])
     def test_trimmed_matches_full_length(self, channels, p, c, N, n):
         # N >> c, c = 1000 and the interval's odd channel, at an array of radii and
@@ -406,6 +424,67 @@ class TestSupport:
                 sums = 4e-15 * (np.abs(mode.coeffs) @ np.abs(np.hstack([B1, D1])))
                 assert abs(f - mode.coeffs @ B1[:, 0]) <= max(bound, sums[0])
                 assert abs(df - mode.coeffs @ D1[:, 0]) <= max(dbound, sums[1])
+
+
+class TestChannelBatch:
+    """tabulate_channels: several channels at the same radii, each table with tabulate's bits."""
+
+    RADII = np.concatenate([[0.0, 1e-6, 1.0], np.linspace(0.05, 0.95, 9)])
+
+    @staticmethod
+    def _mode_lists(channels):
+        # disk channels with uneven supports and mode counts, one mode on its own,
+        # and a channel of the interval
+        lists = [channels(0, 20.0, N, 9)[: 3 + N % 4] for N in (0, 1, 2, 7, 30)]
+        return lists + [channels(0, 20.0, 4, 9)[5], channels(-1, 20.0, 1, 6)[::2]]
+
+    @pytest.mark.parametrize("one_radius", [False, True])
+    def test_tables_bit_identical_to_tabulate(self, channels, monkeypatch, one_radius):
+        from gpsf import kernels, prolate
+
+        r = self.RADII[4:5] if one_radius else self.RADII
+        lists = self._mode_lists(channels)
+        builds = []
+        real = kernels.rbar_basis
+        monkeypatch.setattr(kernels, "rbar_basis", lambda *a: builds.append(a) or real(*a))
+        tables = list(prolate.tabulate_channels(lists, r))
+        assert len(builds) == 1 and len(builds[0][3]) == len(lists) * len(r)
+        monkeypatch.setattr(kernels, "rbar_basis", real)
+        assert len(tables) == len(lists)
+        for modes, table in zip(lists, tables):
+            assert table.tobytes() == prolate.tabulate(modes, r).tobytes()
+
+    def test_blocks_bound_the_build(self, channels, monkeypatch):
+        # with room for about two channels per build the request takes several builds,
+        # none past the limit unless it holds one channel, with the same bits
+        from gpsf import kernels, prolate
+
+        lists = self._mode_lists(channels)
+        whole = list(prolate.tabulate_channels(lists, self.RADII))
+        limit = 2 * max(m.support for m in lists[0]) * len(self.RADII)
+        monkeypatch.setattr(prolate, "_BLOCK_ENTRIES", limit)
+        builds = []  # (entries, channels) of each build
+        real = kernels.rbar_basis
+        m = len(self.RADII)
+        monkeypatch.setattr(kernels, "rbar_basis",
+                            lambda *a: builds.append((a[2] * len(a[3]), len(a[3]) // m)) or real(*a))
+        blocked = list(prolate.tabulate_channels(lists, self.RADII))
+        assert len(builds) >= 3 and sum(n for _, n in builds) == len(lists)
+        assert all(entries <= limit or n == 1 for entries, n in builds)
+        assert [t.tobytes() for t in blocked] == [t.tobytes() for t in whole]
+
+    @pytest.mark.parametrize("lists", [[], [[]], "mixed"])
+    def test_empty_requests_refused(self, channels, lists):
+        from gpsf import prolate
+
+        if lists == "mixed":
+            lists = [channels(0, 20.0, 0, 3), []]
+        with pytest.raises(ValueError, match="no (channels|modes) to tabulate"):
+            list(prolate.tabulate_channels(lists, self.RADII))
+
+    def test_empty_mode_list_refused_by_tabulate(self):
+        with pytest.raises(ValueError, match="no modes to tabulate"):
+            gpsf.prolate.tabulate([], self.RADII)
 
 
 class TestNonFiniteBandLimit:
