@@ -27,10 +27,6 @@ from .spectrum import beta_chain, harmonic_count, mu_sum_check
 _FMT = "%.17g"
 
 
-class ValidationError(ValueError):
-    pass
-
-
 def _write(args, header, rows, payload) -> None:
     """Write ``rows`` under ``header`` as CSV, or ``payload`` as JSON with --format json."""
     text = json.dumps(payload) + "\n" if args.format == "json" else _csv(rows, header)
@@ -52,9 +48,9 @@ def _floats(text: str) -> list[float]:
     try:
         values = [float(t) for t in text.split(",") if t]
     except ValueError as exc:
-        raise ValidationError(f"expected a comma-separated list of numbers, got {text!r}") from exc
+        raise ValueError(f"expected a comma-separated list of numbers, got {text!r}") from exc
     if not all(math.isfinite(v) for v in values):
-        raise ValidationError(f"expected finite numbers, got {text!r}")
+        raise ValueError(f"expected finite numbers, got {text!r}")
     return values
 
 
@@ -63,11 +59,11 @@ def _radial_spec(text: str):
         kind, count = text.split(":")
         count = int(count)
     except ValueError as exc:
-        raise ValidationError(f"--radial expects kind:count, got {text!r}") from exc
+        raise ValueError(f"--radial expects kind:count, got {text!r}") from exc
     if kind not in ("cheb", "gauss"):
-        raise ValidationError(f"radial kind must be cheb or gauss, got {kind!r}")
+        raise ValueError(f"radial kind must be cheb or gauss, got {kind!r}")
     if count < 1:
-        raise ValidationError("radial count must be positive")
+        raise ValueError("radial count must be positive")
     return kind, count
 
 
@@ -82,7 +78,7 @@ def _closed_form_exponential(p: int, c: float, x: np.ndarray) -> complex:
 def _cmd_eval(args) -> None:
     rr = np.asarray(_floats(args.r))
     if np.any((rr < 0.0) | (rr > 1.0)):
-        raise ValidationError("radii must lie in [0, 1]")
+        raise ValueError("radii must lie in [0, 1]")
     ch = ProlateChannel(args.p, args.c, args.N)
     mode = solve_channel(ch, args.n, eps=args.eps)[args.n]
     phi, dphi = eval_phi_and_deriv(mode, rr)
@@ -122,7 +118,7 @@ def _cmd_quad(args, kind: str) -> None:
 def _cmd_ball_integrate(args) -> None:
     x = np.asarray(_floats(args.x))
     if len(x) != args.p + 2:
-        raise ValidationError(f"--x needs {args.p + 2} coordinates for p={args.p}")
+        raise ValueError(f"--x needs {args.p + 2} coordinates for p={args.p}")
     kind, count = _radial_spec(args.radial)
     ch = ProlateChannel(args.p, args.c, 0)
     check_node_count(f"ball rule for p={args.p}, c={args.c:g}", args.p, count, args.angular)
@@ -138,37 +134,37 @@ def _cmd_ball_integrate(args) -> None:
 def _cmd_interp(args) -> None:
     dim = args.p + 2
     if args.Nmax < 0 or args.nmax < 0:
-        raise ValidationError(
+        raise ValueError(
             f"Nmax and nmax must be nonnegative, got Nmax={args.Nmax}, nmax={args.nmax}")
     if (args.x is None) == (args.samples is None):
-        raise ValidationError("interp takes either --x or --samples, not both or neither")
+        raise ValueError("interp takes either --x or --samples, not both or neither")
     if args.x is not None:
         x = np.asarray(_floats(args.x))
         if len(x) != dim:
-            raise ValidationError(f"--x needs {dim} coordinates for p={args.p}")
+            raise ValueError(f"--x needs {dim} coordinates for p={args.p}")
     else:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # loadtxt's warning for a file with no rows
             data = np.loadtxt(args.samples, delimiter=",", skiprows=1, ndmin=2)
         if data.size == 0:
-            raise ValidationError("sample file holds no sample rows")
+            raise ValueError("sample file holds no sample rows")
         if data.shape[1] != dim + 2:
-            raise ValidationError(
+            raise ValueError(
                 f"sample file has {data.shape[1]} columns, expected {dim + 2} "
                 f"({dim} node coordinates, f_re, f_im)"
             )
         if not np.all(np.isfinite(data)):
-            raise ValidationError("sample file holds non-finite values")
+            raise ValueError("sample file holds non-finite values")
     rule = sampling_rule(args.p, args.c, radial_count=args.radial_count,
                          angular_count=args.angular_count)
     if args.x is None:
         if data.shape[0] != rule.count:
-            raise ValidationError(
+            raise ValueError(
                 f"sample file has {data.shape[0]} rows, rule has {rule.count} nodes"
             )
         gap = float(np.max(np.abs(data[:, :dim] - rule.nodes())))
         if not gap <= 1e-12:
-            raise ValidationError(
+            raise ValueError(
                 f"sample file node columns differ from the rule nodes by {gap:.3g} (allowed 1e-12)"
             )
         samples = data[:, dim] + 1j * data[:, dim + 1]
@@ -199,7 +195,7 @@ def _cmd_spectrum_check(args) -> None:
 def _cmd_figure_data(args) -> None:
     Ns = [int(v) for v in args.N.split(",") if v]
     if not Ns:
-        raise ValidationError(f"--N needs at least one angular order, got {args.N!r}")
+        raise ValueError(f"--N needs at least one angular order, got {args.N!r}")
     chains = [beta_chain(ProlateChannel(args.p, args.c, N), args.nmax, eps=args.eps) for N in Ns]
     rows = [(N, t.mode.n + 1, abs(t.lam)) for N, chain in zip(Ns, chains) for t in chain]
     header = ["N", "i", "abs_lambda"]
@@ -296,7 +292,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"gpsf: invalid request: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # unreadable --samples, unwritable --out

@@ -116,9 +116,6 @@ def gaussian_rule(channel: ProlateChannel, n: int) -> QuadratureRule1D:
     scale = max(float(np.max(np.abs(mom))), 1e-12)
     eps = np.finfo(float).eps
 
-    # The full Newton step is tabulated with the derivative and, when it is
-    # accepted (nearly every sweep), carries its (P, D) into the next sweep.
-    # Halved steps need only P.
     P, D = tabulate(modes, r, deriv=True)
     d = mom - P @ w
     for _ in range(_NEWTON_SWEEPS):
@@ -126,8 +123,6 @@ def gaussian_rule(channel: ProlateChannel, n: int) -> QuadratureRule1D:
         dmax = float(np.max(np.abs(d)))
         if dmax <= 20.0 * eps * scale:
             break
-        if D is None:
-            P, D = tabulate(modes, r, deriv=True)
         J = np.hstack([D * w[None, :], P])
         try:
             x = np.linalg.solve(J, d)
@@ -138,7 +133,7 @@ def gaussian_rule(channel: ProlateChannel, n: int) -> QuadratureRule1D:
         for _ in range(1 if at_floor else _HALVINGS_MAX):
             rn = r + step * x[:n]
             wn = w + step * x[n:]
-            Pn, Dn = tabulate(modes, rn, deriv=True) if step == 1.0 else (tabulate(modes, rn), None)
+            Pn, Dn = tabulate(modes, rn, deriv=True)
             dn = mom - Pn @ wn
             if float(np.linalg.norm(dn)) < dnorm:
                 r, w, d, P, D = rn, wn, dn, Pn, Dn

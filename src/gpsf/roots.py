@@ -2,10 +2,11 @@
 
 The weighted function phi = r^((p+1)/2) Phi satisfies a second-order
 equation phi'' + a(r) phi' + b(r) phi = 0, and Phi oscillates only where
-the phase coefficient b is positive.  b bounds the scan: one evaluation of
-Phi at Chebyshev-spaced points of that oscillatory interval brackets every
-root by a sign change, and a safeguarded Newton iteration polishes all the
-brackets together, one batched (Phi, Phi') tabulation per sweep.
+the phase coefficient b is positive, on an interval whose ends are closed
+forms.  One evaluation of Phi at Chebyshev-spaced points of that interval
+brackets every root by a sign change, and a safeguarded Newton iteration
+polishes all the brackets together, one batched (Phi, Phi') tabulation per
+sweep.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .prolate import NumericalError, ZernikeCoeffs, eval_phi, tabulate
 __all__ = ["find_roots", "pruefer_beta"]
 
 _NEWTON_MAX = 30
-_TOP = 1.0 - 1e-12
-_B_GRID = np.linspace(1e-6, _TOP, 512)  # where the sign of b is sampled
 
 
 def pruefer_beta(mode: ZernikeCoeffs, r):
@@ -35,54 +34,52 @@ def pruefer_beta(mode: ZernikeCoeffs, r):
     return (0.25 - ch.alpha * ch.alpha) / (r2 * omr) + (mode.chi - ch.c * ch.c * r2) / omr
 
 
-def _turning_point(mode: ZernikeCoeffs) -> float:
-    """Upper root of b(r) in (0, 1) by bisection; 1 if b stays positive."""
-    if pruefer_beta(mode, _TOP) > 0.0:
-        return 1.0
-    vals = pruefer_beta(mode, _B_GRID)
-    pos = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
-    if len(pos) == 0:
-        return 1.0
-    lo, up = float(_B_GRID[pos[-1]]), float(_B_GRID[pos[-1] + 1])
-    while up - lo > 1e-14:
-        mid = 0.5 * (lo + up)
-        if pruefer_beta(mode, mid) > 0.0:
-            lo = mid
-        else:
-            up = mid
-    return 0.5 * (lo + up)
+def _oscillatory_interval(mode: ZernikeCoeffs) -> tuple[float, float]:
+    """[x_in, x0]: where the phase coefficient b is positive in (0, 1].
 
-
-def _scan_start(mode: ZernikeCoeffs) -> float:
-    """Last point of the b grid before b turns positive; 0 if b is positive from its start."""
-    first = np.flatnonzero(pruefer_beta(mode, _B_GRID) > 0.0)
-    return float(_B_GRID[first[0] - 1]) if len(first) and first[0] > 0 else 0.0
+    r^2 (1 - r^2) b = -(c^2 s^2 - chi s + g) with s = r^2 and g = alpha^2 - 1/4,
+    so b > 0 between the roots g/q and q/c^2 of that quadratic in s, with
+    q = (chi + sqrt(chi^2 - 4 c^2 g)) / 2, free of cancellation.  x_in is 0
+    when g <= 0, and x0 is 1 when q >= c^2.  Raises NumericalError if b is
+    positive nowhere in (0, 1).
+    """
+    ch, chi = mode.channel, mode.chi
+    g, c2 = ch.alpha * ch.alpha - 0.25, ch.c * ch.c
+    disc = chi * chi - 4.0 * c2 * g
+    q = 0.5 * (chi + math.sqrt(disc)) if disc >= 0.0 else 0.0
+    if q > 0.0:
+        x_in = math.sqrt(g / q) if g > 0.0 else 0.0
+        x0 = math.sqrt(q / c2) if q < c2 else 1.0
+        if x_in < x0:
+            return x_in, x0
+    raise NumericalError(f"the phase coefficient of {mode.mode_id} (chi = {chi:.6g}) "
+                         f"is positive nowhere in (0, 1)")
 
 
 def find_roots(mode: ZernikeCoeffs) -> np.ndarray:
     """All n roots of Phi_{N,n} in (0, 1), ascending.
 
     Phi is evaluated once at max(5n, 16) + 1 Chebyshev-spaced points of the
-    oscillatory interval [x_in, x0]: x0 is the turning point of the phase
-    coefficient b, x_in the last point of its sign grid before b turns
-    positive.  Each sign change is one bracket.  Newton then runs on every
-    bracket at once, from the secant through its ends: a sweep tabulates
-    (Phi, Phi') at the unconverged roots,
-    shrinks each bracket by the sign of Phi and replaces a step that leaves
-    its bracket by the bracket's midpoint.  A root has converged when its
-    Newton step is below 1e-14 max(r, 0.05), or stops shrinking below 1e-9
-    of that; this last step is taken wherever it lands.
+    oscillatory interval [x_in, x0], where the phase coefficient b is
+    positive (:func:`_oscillatory_interval`: both ends in closed form).
+    Each sign change is one bracket.  Newton then runs on every bracket at
+    once, from the secant through its ends: a sweep tabulates (Phi, Phi')
+    at the unconverged roots, shrinks each bracket by the sign of Phi and
+    replaces a step that leaves its bracket by the bracket's midpoint.  A
+    root has converged when its Newton step is below 1e-14 max(r, 0.05), or
+    stops shrinking below 1e-9 of that; this last step is taken wherever it
+    lands.
 
     Raises
     ------
     NumericalError
-        If the scan finds other than n sign changes, or a root has not
-        converged after 30 sweeps.
+        If b is positive nowhere in (0, 1), the scan finds other than n sign
+        changes, or a root has not converged after 30 sweeps.
     """
     n = mode.n
     if n == 0:
         return np.empty(0)
-    x_in, x0 = _scan_start(mode), _turning_point(mode)
+    x_in, x0 = _oscillatory_interval(mode)
     m = max(5 * n, 16)
     pts = x_in + (x0 - x_in) / 2.0 * (1.0 - np.cos(math.pi * np.arange(m + 1) / m))
     vals = eval_phi(mode, pts)

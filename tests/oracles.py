@@ -107,6 +107,23 @@ def h_apply_quad(mode, r):
     return val
 
 
+def h_apply_rule(mode, rr):
+    """Radial integral-operator images at the radii ``rr`` by a fixed 200-point rule (float64).
+
+    One table of the mode at the nodes of ``gauss_legendre_01(200)`` times
+    the matrix of the kernel J_nu(c r rho) / (c r rho)^(p/2) over radii and
+    nodes.  The integrand is entire in rho, so at band limits of the order
+    of 20 the rule's error lies far below the round-off of its sum; that
+    round-off, not the rule, limits small images, as it does the adaptive
+    ``h_apply_quad``.
+    """
+    p, c, N = mode.channel.p, mode.channel.c, mode.channel.N
+    rho, w = gauss_legendre_01(200)
+    arg = c * np.outer(np.asarray(rr, dtype=float), rho)
+    kern = scipy.special.jv(N + p / 2.0, arg) / arg ** (p / 2.0)
+    return kern @ (w * eval_phi(mode, rho) * rho ** (p + 1.0))
+
+
 def h_apply_bessel_mp(mode, r):
     """Radial integral-operator image at r via the analytic kernel image.
 

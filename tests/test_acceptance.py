@@ -211,9 +211,9 @@ class TestCriterion7IntegralEquation:
                     phis = gpsf.eval_phi(mode, rr)
                     scale = float(np.max(np.abs(beta * phis)))
                     if mu > 1e-8:
-                        images = [oracles.h_apply_quad(mode, float(r)) for r in rr]
+                        images = oracles.h_apply_rule(mode, rr)
                     else:
-                        # float adaptive quadrature bottoms out above the
+                        # float quadrature bottoms out above the
                         # criterion level here; use the extended-precision
                         # analytic Bessel image of the kernel instead
                         images = [float(oracles.h_apply_bessel_mp(mode, float(r))) for r in rr]
@@ -224,12 +224,15 @@ class TestCriterion7IntegralEquation:
         assert ok
 
     def test_oracles_cross_validate(self):
-        # both oracle routes agree where the float one is trustworthy
+        # the three oracle routes agree where the float ones are trustworthy
         mode = gpsf.solve_channel(ProlateChannel(0, 20.0, 2), 3)[3]
-        for r in (0.3, 0.7):
+        ruled = oracles.h_apply_rule(mode, [0.3, 0.7])
+        for r, h in zip((0.3, 0.7), ruled):
             a = oracles.h_apply_quad(mode, r)
             b = float(oracles.h_apply_bessel_mp(mode, r))
             assert a == pytest.approx(b, rel=1e-11)
+            assert h == pytest.approx(b, rel=1e-14)
+            assert h == pytest.approx(a, rel=1e-11)
 
 
 class TestCriterion8PropertySuite:

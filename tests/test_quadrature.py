@@ -175,4 +175,4 @@ class TestGaussianStopping:
         flags = _gauss_tables(monkeypatch, 10)
         with pytest.raises(NumericalError, match="stagnated"):
             gpsf.gaussian_rule(ProlateChannel(0, 20.0, 0), 10)
-        assert flags == [True, True] + [False] * 39
+        assert flags == [True] * 41  # the start, the full step and 39 halvings

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,19 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+# the sweep of the oscillatory interval: p in {-1, 0, 1}, c from 5 to 4000, N up to c
+_UNDERFLOW = pytest.mark.xfail(
+    raises=NumericalError, strict=True,
+    reason="at alpha = 2000 the basis recurrence overflows before r^N (1e-300 on this interval) "
+           "scales it, so Phi is NaN on part of the scan, which misses roots of n >= 2")
+_SWEEP = [
+    pytest.param(p, c, N, marks=_UNDERFLOW if (c, N) == (4000.0, 2000) else ())
+    for p in (-1, 0, 1)
+    for c in (5.0, 50.0, 300.0, 1000.0, 4000.0)
+    for N in ((0, 1) if p == -1 else sorted({0, 1, 3, int(c) // 10, int(c) // 2, int(c)}))
+]
+
+
 class TestPrueferPhase:
     def test_beta_positive_on_oscillatory_interval(self, channels):
         mode = channels(0, 20.0, 0, 12)[12]
@@ -97,25 +112,65 @@ class TestPrueferPhase:
     def test_turning_point_closed_form(self, channels):
         # for p=1, N=0 the singular term of the phase coefficient drops
         # out and the turning point is exactly sqrt(chi)/c (chi < c^2)
-        from gpsf.roots import _scan_start, _turning_point
+        from gpsf.roots import _oscillatory_interval
 
         mode = channels(1, 20.0, 0, 5)[5]
         assert mode.chi < 400.0
-        x0 = _turning_point(mode)
-        assert x0 == pytest.approx(np.sqrt(mode.chi) / 20.0, abs=1e-12)
-        assert _scan_start(mode) == 0.0  # b > 0 from r = 0 on, as for every alpha <= 1/2
+        x_in, x0 = _oscillatory_interval(mode)
+        assert x0 == pytest.approx(np.sqrt(mode.chi) / 20.0, rel=1e-15)
+        assert x_in == 0.0  # b > 0 from r = 0 on, as for every alpha <= 1/2
 
     def test_scan_starts_below_the_oscillatory_interval(self, channels):
-        # for alpha > 1/2, b < 0 near r = 0: the scan starts at the last grid
-        # point before b turns positive, below every root
-        from gpsf.roots import _B_GRID, _scan_start
+        # for alpha > 1/2, b < 0 near r = 0: the scan starts where b turns
+        # positive, below every root
+        from gpsf.roots import _oscillatory_interval
 
         mode = channels(0, 20.0, 60, 5)[5]
-        x_in = _scan_start(mode)
-        i = int(np.flatnonzero(_B_GRID == x_in)[0])
-        assert np.all(pruefer_beta(mode, _B_GRID[: i + 1]) <= 0.0)
-        assert pruefer_beta(mode, _B_GRID[i + 1]) > 0.0
+        x_in, _ = _oscillatory_interval(mode)
+        assert pruefer_beta(mode, x_in * (1.0 - 1e-9)) <= 0.0 < pruefer_beta(mode, x_in * (1.0 + 1e-9))
         assert 0.0 < x_in < find_roots(mode)[0]
+
+    @pytest.mark.parametrize("p,c,N", _SWEEP)
+    def test_interval_against_sign_grid_and_bisection(self, channels, p, c, N):
+        from gpsf.roots import _oscillatory_interval
+
+        modes, starts = channels(p, c, N, 4)[1:5], []
+        for mode in modes:
+            x_in, x0 = _oscillatory_interval(mode)
+            ref_in, ref_x0 = _grid_interval(mode)
+            assert x0 == pytest.approx(ref_x0, abs=1e-12)
+            assert ref_in <= x_in
+            inside = x_in + (x0 - x_in) * np.linspace(1e-9, 1.0 - 1e-9, 101)
+            assert np.all(pruefer_beta(mode, inside) > 0.0)
+            if x_in > 0.0:
+                assert pruefer_beta(mode, x_in * (1.0 - 1e-9)) <= 0.0
+            if x0 < 1.0:
+                assert pruefer_beta(mode, x0 * (1.0 + 1e-9)) <= 0.0
+            starts.append(x_in)
+        assert all(x_in < find_roots(mode)[0] for x_in, mode in zip(starts, modes))
+
+
+_B_GRID = np.linspace(1e-6, 1.0 - 1e-12, 512)
+
+
+def _grid_interval(mode):
+    """The oscillatory interval by search: x_in is the last point of a 512-point
+    sign grid of b before b turns positive, x0 the bisected last downward sign
+    change of b on that grid (1 if b is positive at the grid's end)."""
+    vals = pruefer_beta(mode, _B_GRID)
+    first = np.flatnonzero(vals > 0.0)
+    x_in = float(_B_GRID[first[0] - 1]) if len(first) and first[0] > 0 else 0.0
+    down = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
+    if vals[-1] > 0.0 or len(down) == 0:
+        return x_in, 1.0
+    lo, up = float(_B_GRID[down[-1]]), float(_B_GRID[down[-1] + 1])
+    while up - lo > 1e-14:
+        mid = 0.5 * (lo + up)
+        if pruefer_beta(mode, mid) > 0.0:
+            lo = mid
+        else:
+            up = mid
+    return x_in, 0.5 * (lo + up)
 
 
 class TestRootErrors:
@@ -138,6 +193,21 @@ class TestRootErrors:
 
         monkeypatch.setattr(roots, "eval_phi", miscounted)
         with pytest.raises(NumericalError, match=f"found {found} sign changes, expected 14"):
+            find_roots(mode)
+
+    def test_empty_oscillatory_interval_raises_before_any_evaluation(self, channels, monkeypatch):
+        # chi below 2 c sqrt(alpha^2 - 1/4): b < 0 on all of (0, 1)
+        from gpsf import roots
+
+        mode = dataclasses.replace(channels(0, 20.0, 10, 1)[1], chi=100.0)
+        assert np.all(pruefer_beta(mode, np.linspace(1e-3, 1.0 - 1e-3, 999)) <= 0.0)
+
+        def refused(*_):
+            raise AssertionError("Phi evaluated")
+
+        monkeypatch.setattr(roots, "eval_phi", refused)
+        monkeypatch.setattr(roots, "tabulate", refused)
+        with pytest.raises(NumericalError, match=r"\(p=0, N=10, n=1\).*positive nowhere"):
             find_roots(mode)
 
     def test_unconverged_newton_raises(self, channels, monkeypatch):
