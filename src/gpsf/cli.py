@@ -15,7 +15,6 @@ import sys
 import warnings
 
 import numpy as np
-import scipy.special as sps
 
 from .ballquad import BallRule, angular_rule_from_count, check_node_count, integrate_exponential
 from .interp import ChannelCache, recover_coeffs, sampling_rule
@@ -72,6 +71,8 @@ def _closed_form_exponential(p: int, c: float, x: np.ndarray) -> complex:
     nx = float(np.linalg.norm(x))
     if nx == 0.0:
         return complex(math.pi ** (p / 2.0 + 1.0) / math.gamma(p / 2.0 + 2.0))
+    import scipy.special as sps
+
     return complex((2.0 * math.pi / c) ** (p / 2.0 + 1.0) * sps.jv(p / 2.0 + 1.0, c * nx) / nx ** (p / 2.0 + 1.0))
 
 

@@ -14,12 +14,15 @@ on [0, 1].
 from __future__ import annotations
 
 import functools
+import importlib.util
 import itertools
 import math
+import os
+import sys
+import sysconfig
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstein, dsterf
 
 from . import kernels
 
@@ -49,6 +52,30 @@ _BLOCK_ENTRIES = 1 << 15  # most basis entries (rows times columns) of a batched
 # (dstebz, 370-420 ns K m), one BLAS thread, 2-vCPU Xeon VM: they break even at m = K/16 for
 # K = 38 and m = K/22 for K = 1370, so QR is taken from m = K/16 on.
 _QR_FRACTION = 16
+
+
+def _load_flapack():
+    # SciPy's LAPACK extension, loaded from its file: importing it through scipy.linalg also
+    # imports SciPy's array-API layer, which took more than half of gpsf's import time.  It is
+    # registered under its own name, so gpsf and scipy.linalg share one instance.
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    path = os.path.join(os.path.dirname(scipy.__file__), "linalg",
+                        "_flapack" + sysconfig.get_config_var("EXT_SUFFIX"))
+    if not os.path.isfile(path):
+        raise ImportError(f"SciPy's LAPACK extension is missing: {path}", name=name, path=path)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack()
+dsterf, dstebz, dstein = _flapack.dsterf, _flapack.dstebz, _flapack.dstein
 
 
 class NumericalError(RuntimeError):

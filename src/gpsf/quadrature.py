@@ -14,9 +14,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lstsq
 
-from .prolate import NumericalError, ProlateChannel, ZernikeCoeffs, solve_channel, tabulate
+from .prolate import NumericalError, ProlateChannel, ZernikeCoeffs, _flapack, solve_channel, tabulate
 from .roots import find_roots
 
 __all__ = ["QuadratureRule1D", "chebyshev_rule", "gaussian_rule"]
@@ -25,6 +24,8 @@ _WEIGHT_RESIDUAL_TOL = 1e-10
 _HALVINGS_MAX = 40
 _STAGNATION_TOL = 1e3  # times eps * scale: below it Newton tries only the full step
 _NEWTON_SWEEPS = 60
+
+dgelsy, dgelsy_lwork = _flapack.dgelsy, _flapack.dgelsy_lwork
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,13 @@ def chebyshev_rule(channel: ProlateChannel, n: int) -> QuadratureRule1D:
     orthogonal factorization since the collocation matrix can be
     ill-conditioned for large n.  Nonpositive weights are reported with a
     warning (observed positive in practice, but not guaranteed).
+
+    Raises
+    ------
+    NumericalError
+        If the collocation table or the moments are not finite, if the
+        factorization reports an illegal argument, or if the weights miss
+        the moments by more than 1e-10 of the largest.
     """
     if n < 1:
         raise ValueError("rule size must be at least 1")
@@ -71,7 +79,16 @@ def chebyshev_rule(channel: ProlateChannel, n: int) -> QuadratureRule1D:
     nodes = find_roots(modes[n])
     M = tabulate(modes[:n], nodes)
     rhs = _mode_moments(modes[:n], channel.p)
-    w, _, _, _ = lstsq(M, rhs, lapack_driver="gelsy")
+    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(rhs))):
+        raise NumericalError(f"collocation system for chebyshev rule n={n} is not finite")
+    # what scipy.linalg.lstsq(M, rhs, lapack_driver="gelsy") calls: reciprocal condition eps,
+    # a free pivot for every column, the workspace size from a query
+    eps = np.finfo(float).eps
+    work, info = dgelsy_lwork(n, n, 1, eps)
+    if info == 0:
+        _, w, _, _, info = dgelsy(M, rhs, np.zeros(n, dtype=np.int32), eps, int(work), False, False)
+    if info != 0:
+        raise NumericalError(f"collocation solve for chebyshev rule n={n}: dgelsy returned info={info}")
     resid = float(np.max(np.abs(M @ w - rhs)))
     if resid > _WEIGHT_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(rhs)))):
         raise NumericalError(

@@ -420,6 +420,15 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and "(K=38): dstein returned info=3" in err
 
+    def test_nonfinite_collocation_exit_code(self, capsys, monkeypatch):
+        from gpsf import quadrature
+
+        real = quadrature.tabulate
+        monkeypatch.setattr(quadrature, "tabulate", lambda *a, **k: real(*a, **k) * np.nan)
+        code, out, err = run_cli(["quad-cheb", "--p", "0", "--c", "20", "--n", "14"], capsys)
+        assert code == 3 and out == ""
+        assert "collocation system for chebyshev rule n=14 is not finite" in err
+
     def test_argument_error_returns_two(self, capsys):
         # argparse usage errors come back as the return value, not SystemExit
         code, _, err = run_cli(["ball-integrate", "--p", "0", "--c", "20"], capsys)

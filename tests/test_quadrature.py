@@ -38,6 +38,42 @@ class TestChebyshevRule:
             gpsf.chebyshev_rule(ProlateChannel(0, 20.0, 2), 8)
 
 
+class TestCollocationSolve:
+    # the sizes of the quad workload's rules: cheb:n at c, and the start of gauss:n at c/2
+    @pytest.mark.parametrize("p", [-1, 0, 1])
+    @pytest.mark.parametrize("c", [20.0, 90.0, 150.0])
+    def test_weights_bit_identical_to_lstsq(self, p, c):
+        from scipy.linalg import lstsq
+
+        for band, n in ((c, math.ceil(c / math.pi) + 10), (c / 2.0, math.ceil(c / (2.0 * math.pi)) + 10),
+                        (c, 1), (c, 5)):
+            ch = ProlateChannel(p, band, 0)
+            rule = gpsf.chebyshev_rule(ch, n)
+            modes = gpsf.solve_channel(ch, n)
+            M = quadrature.tabulate(modes[:n], rule.nodes)
+            ref = lstsq(M, _moments(ch, modes[:n]), lapack_driver="gelsy")[0]
+            assert rule.weights.shape == ref.shape and np.array_equal(rule.weights, ref), (band, n)
+
+    @pytest.mark.parametrize("where", [(0, 0), (3, 5)])
+    def test_nonfinite_table_raises(self, monkeypatch, where):
+        real = quadrature.tabulate
+
+        def with_nan(*a, **k):
+            M = real(*a, **k)
+            M[where] = np.nan
+            return M
+
+        monkeypatch.setattr(quadrature, "tabulate", with_nan)
+        with pytest.raises(NumericalError, match="collocation system for chebyshev rule n=8 is not finite"):
+            gpsf.chebyshev_rule(ProlateChannel(0, 20.0, 0), 8)
+
+    def test_illegal_argument_raises(self, monkeypatch):
+        real = quadrature.dgelsy
+        monkeypatch.setattr(quadrature, "dgelsy", lambda *a: (*real(*a)[:-1], -4))
+        with pytest.raises(NumericalError, match="chebyshev rule n=8: dgelsy returned info=-4"):
+            gpsf.chebyshev_rule(ProlateChannel(0, 20.0, 0), 8)
+
+
 class TestGaussianRule:
     def test_exactness_on_doubled_modes(self, channels):
         ch = ProlateChannel(0, 20.0, 0)
