@@ -76,21 +76,26 @@ def _closed_form_exponential(p: int, c: float, x: np.ndarray) -> complex:
     return complex((2.0 * math.pi / c) ** (p / 2.0 + 1.0) * sps.jv(p / 2.0 + 1.0, c * nx) / nx ** (p / 2.0 + 1.0))
 
 
+def _requested_mode(args):
+    # mode n of the channel (p, c, N), solved once n is known to be nonnegative
+    if args.n < 0:
+        raise ValueError(f"n must be nonnegative, got n={args.n}")
+    return solve_channel(ProlateChannel(args.p, args.c, args.N), args.n)[args.n]
+
+
 def _cmd_eval(args) -> None:
     rr = np.asarray(_floats(args.r))
     if np.any((rr < 0.0) | (rr > 1.0)):
         raise ValueError("radii must lie in [0, 1]")
-    ch = ProlateChannel(args.p, args.c, args.N)
-    mode = solve_channel(ch, args.n, eps=args.eps)[args.n]
-    phi, dphi = eval_phi_and_deriv(mode, rr)
+    phi, dphi = eval_phi_and_deriv(_requested_mode(args), rr)
     _write(args, ["r", "phi", "dphi"], zip(rr, phi, dphi),
            {"r": rr.tolist(), "phi": phi.tolist(), "dphi": dphi.tolist()})
 
 
 def _cmd_eigs(args) -> None:
     ch = ProlateChannel(args.p, args.c, args.N)
-    modes = solve_channel(ch, args.nmax, eps=args.eps)
-    triples = beta_chain(ch, args.nmax, eps=args.eps, modes=modes)
+    modes = solve_channel(ch, args.nmax)
+    triples = beta_chain(ch, args.nmax, modes=modes)
     rows = [
         (t.mode.n, modes[t.mode.n].chi, t.beta, t.lam.real, t.lam.imag, abs(t.lam), t.mu)
         for t in triples
@@ -101,9 +106,7 @@ def _cmd_eigs(args) -> None:
 
 
 def _cmd_roots(args) -> None:
-    ch = ProlateChannel(args.p, args.c, args.N)
-    modes = solve_channel(ch, args.n, eps=args.eps)
-    rr = find_roots(modes[args.n])
+    rr = find_roots(_requested_mode(args))
     _write(args, ["root"], ((float(v),) for v in rr),
            {"p": args.p, "c": args.c, "N": args.N, "n": args.n, "roots": rr.tolist()})
 
@@ -197,7 +200,7 @@ def _cmd_figure_data(args) -> None:
     Ns = [int(v) for v in args.N.split(",") if v]
     if not Ns:
         raise ValueError(f"--N needs at least one angular order, got {args.N!r}")
-    chains = [beta_chain(ProlateChannel(args.p, args.c, N), args.nmax, eps=args.eps) for N in Ns]
+    chains = [beta_chain(ProlateChannel(args.p, args.c, N), args.nmax) for N in Ns]
     rows = [(N, t.mode.n + 1, abs(t.lam)) for N, chain in zip(Ns, chains) for t in chain]
     header = ["N", "i", "abs_lambda"]
     _write(args, header, rows, [dict(zip(header, r)) for r in rows])
@@ -208,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gpsf", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, N=False, n=False, nmax=False, eps=False):
+    def common(sp, *, N=False, n=False, nmax=False):
         sp.add_argument("--p", type=int, required=True, choices=(-1, 0, 1))
         sp.add_argument("--c", type=float, required=True)
         if N:
@@ -219,20 +222,18 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--nmax", type=int, required=True)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        if eps:
-            sp.add_argument("--eps", type=float, default=1e-16)
 
     sp = sub.add_parser("eval", help="evaluate Phi_{N,n} and its derivative at radii")
-    common(sp, N=True, n=True, eps=True)
+    common(sp, N=True, n=True)
     sp.add_argument("--r", required=True, help="comma-separated radii in [0,1]")
     sp.set_defaults(func=_cmd_eval)
 
     sp = sub.add_parser("eigs", help="eigenvalue table of one radial channel")
-    common(sp, N=True, nmax=True, eps=True)
+    common(sp, N=True, nmax=True)
     sp.set_defaults(func=_cmd_eigs)
 
     sp = sub.add_parser("roots", help="roots of Phi_{N,n}")
-    common(sp, N=True, n=True, eps=True)
+    common(sp, N=True, n=True)
     sp.set_defaults(func=_cmd_roots)
 
     sp = sub.add_parser("quad-cheb", help="interpolatory radial rule")
@@ -268,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_spectrum_check)
 
     sp = sub.add_parser("figure-data", help="|lambda| sequences for a list of channels")
-    common(sp, nmax=True, eps=True)
+    common(sp, nmax=True)
     sp.add_argument("--N", required=True, help="comma-separated angular orders")
     sp.set_defaults(func=_cmd_figure_data)
 

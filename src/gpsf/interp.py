@@ -58,9 +58,8 @@ class ChannelCache:
 
     def triples(self, N: int) -> list[EigenTriple]:
         if N not in self._triples:
-            self._triples[N] = beta_chain(
-                ProlateChannel(self.p, self.c, N), self.nmax, modes=self.modes(N)
-            )
+            modes = self.modes(N)
+            self._triples[N] = beta_chain(modes[0].channel, self.nmax, modes=modes)
         return self._triples[N]
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "eval_phi_and_deriv",
 ]
 
+_TOLERANCE = 1e-16  # halving-envelope target; a solve accepts last coefficients below 10x it
 _SAFETY_MARGIN = 10  # extra basis functions beyond the decay bound
 _MAX_ENLARGEMENTS = 5  # truncation steps of 2 * _SAFETY_MARGIN before a solve gives up
 _SUPPORT_CUT = 1e-20  # coefficients at or below it are left out of evaluation
@@ -144,8 +145,10 @@ class ZernikeCoeffs:
 
     ``coeffs[k]`` multiplies the orthonormal radial polynomial of degree
     N + 2k; the vector has unit Euclidean norm and its sign is fixed so
-    that Phi_{N,n}(1) > 0.  Evaluation reads only the first ``support``
-    coefficients; the full vector is kept for the eigenvalue series.
+    that Phi_{N,n}(1) > 0 where Phi(1) is above the round-off of its sum;
+    elsewhere the sign is arbitrary and can change with the truncation K.
+    Evaluation reads only the first ``support`` coefficients; the full
+    vector is kept for the eigenvalue series.
     """
 
     channel: ProlateChannel
@@ -164,7 +167,7 @@ class ZernikeCoeffs:
     def support(self) -> int:
         """Number of leading coefficients up to the last one above 1e-20 in magnitude.
 
-        The vector has unit norm, so the cut lies 1e5 below the 10 eps tail
+        The vector has unit norm, so the cut lies 1e5 below the 1e-15 tail
         that :func:`solve_channel` accepts; the whole vector when none is above it.
         """
         above = np.flatnonzero(np.abs(self.coeffs) > _SUPPORT_CUT)
@@ -198,23 +201,21 @@ def tridiag_matrix(channel: ProlateChannel, K: int) -> tuple[np.ndarray, np.ndar
     return b, offdiag
 
 
-def choose_truncation(channel: ProlateChannel, nmax: int, eps: float) -> int:
+def choose_truncation(channel: ProlateChannel, nmax: int) -> int:
     """Number of Zernike coefficients to retain for modes up to ``nmax``.
 
     Picks the smallest K for which the coefficient-decay bound applies
     (N + 2K >= e*c) and the halving envelope (1/2)^(N+p/2+2K+1) falls
-    below ``eps``, then adds a fixed safety margin and makes room for the
+    below 1e-16, then adds a fixed safety margin and makes room for the
     requested modes.  A K above 20000 raises ``ValueError``: that keeps
     band limits up to about c = 14700 and nmax up to 19990.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     # clamped in floats first: e*c overflows at c = 1e308, and the clamp still fails the limit
     k_regime = max(0, math.ceil(min((math.e * channel.c - channel.N) / 2.0, _MAX_TRUNCATION)))
-    # (1/2)^(N+p/2+2k+1) < eps  <=>  (N+p/2+2k+1) ln 2 > -ln eps
-    k_halving = max(0, math.ceil(((-math.log(eps) / math.log(2.0)) - channel.alpha - 1.0) / 2.0))
+    # (1/2)^(N+p/2+2k+1) < tol  <=>  (N+p/2+2k+1) ln 2 > -ln tol
+    k_halving = max(0, math.ceil(((-math.log(_TOLERANCE) / math.log(2.0)) - channel.alpha - 1.0) / 2.0))
     K = max(k_regime, k_halving, nmax) + _SAFETY_MARGIN
     if K > _MAX_TRUNCATION:
         raise ValueError(f"{channel} with nmax={nmax} needs more than {_MAX_TRUNCATION} "
@@ -271,19 +272,14 @@ def _check_info(routine: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"{routine} returned info={info}")
 
 
-def solve_channel(
-    channel: ProlateChannel,
-    nmax: int,
-    eps: float = 1e-16,
-    K: int | None = None,
-) -> list[ZernikeCoeffs]:
+def solve_channel(channel: ProlateChannel, nmax: int) -> list[ZernikeCoeffs]:
     """Solve the truncated eigenproblem for modes 0..nmax of a channel.
 
     Returns the modes sorted by ascending eigenvalue chi (strict increase
     is asserted; the spectrum is simple).  Each coefficient vector is
-    normalized and sign-fixed so Phi_{N,n}(1) > 0.  The last coefficient
-    of every mode must fall below 10 * ``eps``; while it does not, the
-    truncation K grows by 20 and the channel is solved again.
+    normalized and sign-fixed (see :class:`ZernikeCoeffs`).  The last
+    coefficient of every mode must fall below 1e-15; while it does not, the
+    truncation K of :func:`choose_truncation` grows by 20 and the channel is solved again.
 
     Raises
     ------
@@ -293,10 +289,9 @@ def solve_channel(
         small c that keeps nmax up to 4994.
     NumericalError
         If a LAPACK routine of the eigensolve returns a nonzero ``info``, or the tail is
-        still above 10 * ``eps`` after five enlargements of K.
+        still above 1e-15 after five enlargements of K.
     """
-    if K is None:
-        K = choose_truncation(channel, nmax, eps)
+    K = choose_truncation(channel, nmax)
     if K * (nmax + 1) > _MAX_VECTOR_ENTRIES:
         raise ValueError(f"{channel} with nmax={nmax} needs {K} x {nmax + 1} eigenvector entries, "
                          f"above the limit of {_MAX_VECTOR_ENTRIES}")
@@ -309,11 +304,11 @@ def solve_channel(
                 f"tridiagonal eigensolver failed for channel {channel} (K={K}): {exc}"
             ) from exc
         tail = np.max(np.abs(vecs[-1, :]))
-        if tail < 10.0 * eps:
+        if tail < 10.0 * _TOLERANCE:
             break
         if step == _MAX_ENLARGEMENTS:
             raise NumericalError(f"coefficient tail {tail:.3e} of channel {channel} is still "
-                                 f"above {10.0 * eps:.3e} at K={K} after {step} enlargements")
+                                 f"above {10.0 * _TOLERANCE:.3e} at K={K} after {step} enlargements")
         K += 2 * _SAFETY_MARGIN
     if np.any(np.diff(chis) <= 0.0):
         raise NumericalError(f"eigenvalues not strictly increasing for channel {channel}")
@@ -408,18 +403,30 @@ def _channel_blocks(mode_lists, m):
     yield block, K
 
 
+def _finite_table(mode: ZernikeCoeffs, r, deriv=False):
+    # tabulate(mode, r, deriv), raising where the basis recurrence overflowed (as at
+    # c = 4000, N = 2000) instead of returning its inf and NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = tabulate(mode, r, deriv)
+    if not np.all(np.isfinite(table)):
+        raise NumericalError(f"values of {mode.mode_id} are not finite at some of the radii: "
+                             "the radial basis overflows")
+    return table
+
+
 def eval_phi_and_deriv(mode: ZernikeCoeffs, r):
     """(Phi_{N,n}, dPhi_{N,n}/dr) at radii in [0, 1], from one basis build.
 
-    A scalar radius gives a pair of floats, read from a one-point table.
+    A scalar radius gives a pair of floats, read from a one-point table.  A
+    value that is not finite raises ``NumericalError`` naming the mode.
     """
-    f, df = tabulate(mode, r, deriv=True)
+    f, df = _finite_table(mode, r, deriv=True)
     return (float(f[0]), float(df[0])) if np.ndim(r) == 0 else (f, df)
 
 
 def eval_phi(mode: ZernikeCoeffs, r):
-    """Evaluate Phi_{N,n} at radii in [0, 1] from its Zernike expansion."""
-    f = tabulate(mode, r)
+    """Phi_{N,n} at radii in [0, 1]; a value that is not finite raises ``NumericalError``."""
+    f = _finite_table(mode, r)
     return float(f[0]) if np.ndim(r) == 0 else f
 
 

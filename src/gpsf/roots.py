@@ -17,21 +17,9 @@ import numpy as np
 
 from .prolate import NumericalError, ZernikeCoeffs, eval_phi, tabulate
 
-__all__ = ["find_roots", "pruefer_beta"]
+__all__ = ["find_roots"]
 
 _NEWTON_MAX = 30
-
-
-def pruefer_beta(mode: ZernikeCoeffs, r):
-    """Zeroth-order coefficient b(r) of the weighted-equation form, at a radius or an array.
-
-    b(r) = (1/4 - (N+p/2)^2) / (r^2 (1-r^2)) + (chi - c^2 r^2) / (1-r^2).
-    Positive b marks the oscillatory region.
-    """
-    ch = mode.channel
-    r2 = r * r
-    omr = 1.0 - r2
-    return (0.25 - ch.alpha * ch.alpha) / (r2 * omr) + (mode.chi - ch.c * ch.c * r2) / omr
 
 
 def _oscillatory_interval(mode: ZernikeCoeffs) -> tuple[float, float]:

@@ -174,7 +174,6 @@ def _rphi_prime(A: np.ndarray, N: int, p: int) -> np.ndarray:
 def beta_chain(
     channel: ProlateChannel,
     kmax: int,
-    eps: float = 1e-16,
     modes: list[ZernikeCoeffs] | None = None,
     mu_stop: float = 0.0,
 ) -> list[EigenTriple]:
@@ -190,23 +189,27 @@ def beta_chain(
     stops early (with a warning) if a denominator integral falls below
     1e-250, or once mu drops below ``mu_stop``.  With ``mu_stop`` > 0 and
     no ``modes``, only the modes the chain uses are solved: the first 17,
-    and twice as many each time the chain uses them all.
+    and twice as many each time the chain uses them all.  ``modes`` of
+    another channel raise ``ValueError``.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if modes is None:
-        return _sized_chain(channel, kmax, eps, mu_stop, _FIRST_BATCH if mu_stop > 0.0 else kmax)
+        return _sized_chain(channel, kmax, mu_stop, _FIRST_BATCH if mu_stop > 0.0 else kmax)
     if len(modes) <= kmax:
         raise ValueError(f"the chain to kmax={kmax} needs {kmax + 1} modes, got {len(modes)}")
+    stray = next((m for m in modes if m.channel is not channel and m.channel != channel), None)
+    if stray is not None:
+        raise ValueError(f"mode {stray.n} of {stray.channel} given for the chain of {channel}")
     return _chain(channel, modes[: kmax + 1], mu_stop)
 
 
-def _sized_chain(channel, kmax: int, eps: float, mu_stop: float, first: int) -> list[EigenTriple]:
+def _sized_chain(channel, kmax: int, mu_stop: float, first: int) -> list[EigenTriple]:
     # solve modes 0..first, and twice as many while the chain uses every
     # solved mode without reaching mu_stop or kmax
     m = min(first, kmax)
     while True:
-        chain = _chain(channel, solve_channel(channel, m, eps), mu_stop)
+        chain = _chain(channel, solve_channel(channel, m), mu_stop)
         if m == kmax or len(chain) <= m or chain[-1].mu < mu_stop:
             return chain
         m = min(2 * m + 1, kmax)
@@ -265,7 +268,7 @@ def mu_sum_check(p: int, c: float, Nmax: int, nmax: int) -> tuple[float, float]:
         h = harmonic_count(p, N)
         if h == 0:
             continue
-        triples = _sized_chain(ProlateChannel(p, c, N), nmax, 1e-16, 1e-26, batch)
+        triples = _sized_chain(ProlateChannel(p, c, N), nmax, 1e-26, batch)
         total += h * sum(t.mu for t in triples)
         if triples[0].mu < 1e-26:
             break

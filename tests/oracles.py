@@ -173,6 +173,18 @@ def phi_mp(mode, r):
     return total * r**N
 
 
+def pruefer_beta(mode, r):
+    """Zeroth-order coefficient b(r) of the weighted-equation form, at a radius or an array.
+
+    b(r) = (1/4 - (N+p/2)^2) / (r^2 (1-r^2)) + (chi - c^2 r^2) / (1-r^2).
+    Positive b marks the oscillatory region.
+    """
+    ch = mode.channel
+    r2 = r * r
+    omr = 1.0 - r2
+    return (0.25 - ch.alpha * ch.alpha) / (r2 * omr) + (mode.chi - ch.c * ch.c * r2) / omr
+
+
 def tridiag_eigenvalue_mp(d, e, k):
     """The k-th lowest eigenvalue (k from 0) of a symmetric tridiagonal matrix.
 

@@ -359,6 +359,18 @@ class TestEvalRoots:
         assert got["phi"] == prolate.eval_phi(mode, r).tolist()
         assert got["dphi"] == prolate.eval_phi_deriv(mode, r).tolist()
 
+    @pytest.mark.parametrize("command", [["eval", "--r", "0.7,0.75"], ["roots"]])
+    def test_basis_overflow_exits_3(self, capsys, command):
+        # at alpha = 2000 and above the radial basis overflows to NaN on the oscillatory interval
+        c, N = ("5000", "2500") if command[0] == "eval" else ("4000", "2000")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow warnings are silenced
+            code, out, err = run_cli([command[0], "--p", "0", "--c", c, "--N", N, "--n", "2"]
+                                     + command[1:], capsys)
+        assert code == 3 and out == ""
+        assert err == (f"gpsf: numerical failure: values of RadialModeId(p=0, N={N}, n=2) are not "
+                       "finite at some of the radii: the radial basis overflows\n")
+
     def test_roots_count(self, capsys):
         code, out, _ = run_cli(
             ["roots", "--p", "0", "--c", "20", "--N", "0", "--n", "5"], capsys
@@ -384,12 +396,23 @@ class TestEvalRoots:
 
 
 class TestExitCodes:
-    def test_validation_error(self, capsys):
+    def test_validation_error(self, capsys, monkeypatch):
         code, _, err = run_cli(
             ["eval", "--p", "0", "--c", "20", "--N", "0", "--n", "3", "--r", "1.5"], capsys
         )
         assert code == 2
         assert "invalid request" in err
+
+        def no_solve(*a, **k):
+            raise AssertionError("a channel solve started for a negative mode index")
+
+        # a negative mode index is refused by its own name, before any solve
+        monkeypatch.setattr(cli, "solve_channel", no_solve)
+        for command in (["eval", "--r", "0.5"], ["roots"]):
+            code, out, err = run_cli([command[0], "--p", "0", "--c", "20", "--N", "0", "--n", "-1"]
+                                     + command[1:], capsys)
+            assert code == 2 and out == ""
+            assert err == "gpsf: invalid request: n must be nonnegative, got n=-1\n"
 
     def test_bad_radial_spec(self, capsys):
         code, _, err = run_cli(
@@ -458,24 +481,19 @@ class TestExitCodes:
         assert "argument --p: invalid choice: 2" in err
 
     @pytest.mark.parametrize("args", [
-        ["eval", "--p", "0", "--c", "20", "--N", "0", "--n", "3", "--r", "0.5"],
-        ["eigs", "--p", "0", "--c", "20", "--N", "0", "--nmax", "3"],
-        ["roots", "--p", "0", "--c", "20", "--N", "0", "--n", "3"],
-        ["figure-data", "--p", "0", "--c", "20", "--N", "0,1", "--nmax", "3"],
-    ])
-    def test_eps_accepted_where_it_is_used(self, capsys, args):
-        code, out, err = run_cli(args + ["--eps", "1e-14"], capsys)
-        assert code == 0 and out, err
-
-    @pytest.mark.parametrize("args", [
         ["quad-cheb", "--p", "0", "--c", "20", "--n", "14"],
         ["quad-gauss", "--p", "0", "--c", "20", "--n", "10"],
         ["ball-integrate", "--p", "0", "--c", "20", "--x", "0.9,0.2",
          "--radial", "cheb:14", "--angular", "50"],
         ["interp", "--p", "0", "--c", "10", "--x", "0.3,0.4", "--Nmax", "1", "--nmax", "1"],
         ["spectrum-check", "--p", "0", "--c", "10"],
+        ["eval", "--p", "0", "--c", "20", "--N", "0", "--n", "3", "--r", "0.5"],
+        ["eigs", "--p", "0", "--c", "20", "--N", "0", "--nmax", "3"],
+        ["roots", "--p", "0", "--c", "20", "--N", "0", "--n", "3"],
+        ["figure-data", "--p", "0", "--c", "20", "--N", "0,1", "--nmax", "3"],
     ])
     def test_eps_refused_where_it_has_no_effect(self, capsys, args):
+        # every solve truncates at one fixed tolerance, so no subcommand takes one
         code, out, err = run_cli(args + ["--eps", "1e-14"], capsys)
         assert code == 2 and out == ""
         assert "unrecognized arguments: --eps" in err

@@ -69,32 +69,32 @@ class TestTridiagEntries:
         got_diag, got_sup = gpsf.tridiag_matrix(ch, 80)
         assert np.array_equal(got_diag, diag) and np.array_equal(got_sup, sup[:-1])
 
-    def test_non_finite_entries_refused(self):
+    def test_non_finite_entries_refused(self, monkeypatch):
+        from gpsf import prolate
+
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             gpsf.tridiag_matrix(ProlateChannel(0, 1e200, 0), 4)
+        # a truncation the limit would refuse, so that the solve reaches the matrix
+        monkeypatch.setattr(prolate, "choose_truncation", lambda ch, nmax: 40)
         with pytest.raises(ValueError, match="matrix entries must be finite"):
-            gpsf.solve_channel(ProlateChannel(0, 1e200, 0), 2, K=40)
+            gpsf.solve_channel(ProlateChannel(0, 1e200, 0), 2)
 
 
 class TestChooseTruncation:
     def test_reference_configuration(self):
         ch = ProlateChannel(0, 20.0, 0)
-        K = gpsf.choose_truncation(ch, 10, 1e-16)
+        K = gpsf.choose_truncation(ch, 10)
         assert K >= int(np.ceil(np.e * 20.0 / 2.0))
         assert K >= 38
 
-    def test_loose_eps_keeps_regime_bound(self):
-        ch = ProlateChannel(0, 20.0, 0)
-        assert gpsf.choose_truncation(ch, 0, 0.5) >= int(np.ceil((np.e * 20.0 - 0) / 2.0))
-
     def test_monotone_in_bandwidth(self):
-        base = gpsf.choose_truncation(ProlateChannel(0, 20.0, 0), 0, 1e-16)
-        doubled = gpsf.choose_truncation(ProlateChannel(0, 40.0, 0), 0, 1e-16)
+        base = gpsf.choose_truncation(ProlateChannel(0, 20.0, 0), 0)
+        doubled = gpsf.choose_truncation(ProlateChannel(0, 40.0, 0), 0)
         assert doubled - base >= int(np.ceil(np.e * 20.0 / 2.0)) - 11
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            gpsf.choose_truncation(ProlateChannel(0, 20.0, 0), 0, 1.5)
+        with pytest.raises(ValueError, match="nmax must be nonnegative"):
+            gpsf.choose_truncation(ProlateChannel(0, 20.0, 0), -1)
 
     @pytest.mark.parametrize("p", [-1, 0, 1])
     def test_unchanged_below_the_limit(self, p):
@@ -106,16 +106,16 @@ class TestChooseTruncation:
                 halving = (-math.log(1e-16) / math.log(2.0) - ch.alpha - 1.0) / 2.0
                 k_halving = max(0, math.ceil(halving))
                 expect = max(max(k_regime, k_halving) + 10, nmax + 10)
-                assert gpsf.choose_truncation(ch, nmax, 1e-16) == expect
+                assert gpsf.choose_truncation(ch, nmax) == expect
 
     @pytest.mark.parametrize("c, nmax, K", [(14700.0, 0, 19990), (20.0, 19989, 19999)])
     def test_largest_accepted(self, c, nmax, K):
-        assert gpsf.choose_truncation(ProlateChannel(0, c, 0), nmax, 1e-16) == K
+        assert gpsf.choose_truncation(ProlateChannel(0, c, 0), nmax) == K
 
     @pytest.mark.parametrize("c, nmax", [(14710.0, 0), (1e9, 2), (1e308, 2), (20.0, 19991)])
     def test_refused_above_the_limit(self, c, nmax):
         with pytest.raises(ValueError, match="needs more than 20000 Zernike coefficients"):
-            gpsf.choose_truncation(ProlateChannel(0, c, 0), nmax, 1e-16)
+            gpsf.choose_truncation(ProlateChannel(0, c, 0), nmax)
 
 
 class TestEigenvectorLimit:
@@ -140,9 +140,13 @@ class TestEigenvectorLimit:
             gpsf.solve_channel(ProlateChannel(0, 20.0, 0), nmax)
         assert solves == []
 
-    def test_explicit_truncation_is_checked(self, solves):
+    def test_explicit_truncation_is_checked(self, solves, monkeypatch):
+        # the limit holds for whatever truncation the solve starts from
+        from gpsf import prolate
+
+        monkeypatch.setattr(prolate, "choose_truncation", lambda ch, nmax: 2_500_001)
         with pytest.raises(ValueError, match="needs 2500001 x 10 eigenvector entries"):
-            gpsf.solve_channel(ProlateChannel(0, 20.0, 0), 9, K=2_500_001)
+            gpsf.solve_channel(ProlateChannel(0, 20.0, 0), 9)
         assert solves == []
 
     def test_largest_accepted(self, solves):
@@ -169,9 +173,9 @@ class TestSolveChannel:
 
     def test_truncation_grows_until_the_tail_is_small(self):
         # at (0, 100, 0) the first K = 150 leaves mode 140 a large last
-        # coefficient; one step of 20 brings every tail below 10 eps
+        # coefficient; one step of 20 brings every tail below 1e-15
         ch = ProlateChannel(0, 100.0, 0)
-        assert gpsf.choose_truncation(ch, 140, 1e-16) == 150
+        assert gpsf.choose_truncation(ch, 140) == 150
         modes = gpsf.solve_channel(ch, 140)
         assert len(modes[0].coeffs) == 170
         assert max(abs(m.coeffs[-1]) for m in modes) < 1e-15
@@ -310,11 +314,15 @@ class TestCoefficientDecay:
                 bound = 10.0 / np.sqrt(2.0) / beta * 0.5 ** (2.0 * k + 1.0)
                 assert abs(mode.coeffs[k]) <= max(bound, 1e-300)
 
-    def test_truncation_stability(self):
+    def test_truncation_stability(self, monkeypatch):
+        from gpsf import prolate
+
         ch = ProlateChannel(0, 20.0, 0)
-        K = gpsf.choose_truncation(ch, 6, 1e-16)
-        a = gpsf.solve_channel(ch, 6, K=K)
-        b = gpsf.solve_channel(ch, 6, K=K + 10)
+        K = gpsf.choose_truncation(ch, 6)
+        a = gpsf.solve_channel(ch, 6)
+        monkeypatch.setattr(prolate, "choose_truncation", lambda ch, nmax: K + 10)
+        b = gpsf.solve_channel(ch, 6)
+        assert len(a[0].coeffs) == K and len(b[0].coeffs) == K + 10
         for ma, mb in zip(a, b):
             assert abs(ma.chi - mb.chi) <= 1e-13 * abs(mb.chi)
             m = len(ma.coeffs)

@@ -5,7 +5,8 @@ import pytest
 
 import gpsf
 from gpsf.prolate import NumericalError
-from gpsf.roots import find_roots, pruefer_beta
+from gpsf.roots import find_roots
+from oracles import pruefer_beta
 
 
 def _scan_roots(mode, grid_size=10000):
@@ -93,7 +94,7 @@ def _counting(monkeypatch, module, name):
 _UNDERFLOW = pytest.mark.xfail(
     raises=NumericalError, strict=True,
     reason="at alpha = 2000 the basis recurrence overflows before r^N (1e-300 on this interval) "
-           "scales it, so Phi is NaN on part of the scan, which misses roots of n >= 2")
+           "scales it, so Phi is NaN on part of the scan and its evaluation raises")
 _SWEEP = [
     pytest.param(p, c, N, marks=_UNDERFLOW if (c, N) == (4000.0, 2000) else ())
     for p in (-1, 0, 1)

@@ -366,6 +366,19 @@ class TestRightSizedSum:
         with pytest.raises(ValueError, match="needs 6 modes"):
             gpsf.beta_chain(ProlateChannel(0, 20.0, 0), 5, modes=channels(0, 20.0, 0, 3)[:4])
 
+    @pytest.mark.parametrize("given, channel", [((0, 30.0, 0), (0, 20.0, 0)),
+                                                ((1, 30.0, 2), (0, 30.0, 0))])
+    def test_modes_of_another_channel_rejected(self, channels, monkeypatch, given, channel):
+        # another c would give beta of one channel with mu of the other, another p or N a wrong lambda
+        from gpsf import spectrum
+
+        def no_chain(*a):
+            raise AssertionError("the chain ran")
+
+        monkeypatch.setattr(spectrum, "_chain", no_chain)
+        with pytest.raises(ValueError, match=r"mode 0 of ProlateChannel\(p=.* given for the chain"):
+            gpsf.beta_chain(ProlateChannel(*channel), 3, modes=channels(*given, 3))
+
 
 class TestBetaDc:
     def test_finite_difference(self):
