@@ -85,6 +85,8 @@ def _requested_mode(args):
 
 def _cmd_eval(args) -> None:
     rr = np.asarray(_floats(args.r))
+    if rr.size == 0:
+        raise ValueError(f"--r needs at least one radius, got {args.r!r}")
     if np.any((rr < 0.0) | (rr > 1.0)):
         raise ValueError("radii must lie in [0, 1]")
     phi, dphi = eval_phi_and_deriv(_requested_mode(args), rr)
@@ -200,6 +202,8 @@ def _cmd_figure_data(args) -> None:
     Ns = [int(v) for v in args.N.split(",") if v]
     if not Ns:
         raise ValueError(f"--N needs at least one angular order, got {args.N!r}")
+    if args.nmax < 0:
+        raise ValueError(f"nmax must be nonnegative, got nmax={args.nmax}")
     chains = [beta_chain(ProlateChannel(args.p, args.c, N), args.nmax) for N in Ns]
     rows = [(N, t.mode.n + 1, abs(t.lam)) for N, chain in zip(Ns, chains) for t in chain]
     header = ["N", "i", "abs_lambda"]

@@ -4,9 +4,9 @@ The normalized radial polynomials Rbar_k(r) = scale[k] P_k^(alpha,0)(1-2r^2) r^N
 come from the Jacobi three-term recurrence.  ``rbar_basis`` and
 ``rbar_basis_with_deriv`` tabulate them as K-by-m matrices, one row per
 degree; every evaluation of the radial functions, at one radius or many,
-is a product with such a matrix.  Given per-column alpha and N, one
-recurrence pass serves the columns of several channels at once, each
-column with the bits of its own channel's build.
+is a product with such a matrix.  Given alpha and N of C channels and a
+row of radii for each, one recurrence pass serves them all, each channel's
+block of columns with the bits of its own build.
 """
 
 import itertools
@@ -63,60 +63,42 @@ def _powers(N, r):
     return r**N, drn
 
 
-def _column_tables(alpha, K):
-    # (c0, a1, b, scale) of each column's alpha, K - 2 rows (K for scale) by column,
-    # copied from the one table per distinct alpha
-    alphas, col = np.unique(alpha, return_inverse=True)
-    n = max(K - 2, 0)
-    tables = np.array([np.concatenate([c0[:n], a1[:n], b[:n], scale[:K]])
-                       for c0, a1, b, scale in (_recurrence_tables(float(a), K)[0] for a in alphas)])
-    tables = tables.reshape(len(alphas), 3 * n + K)  # the shape also when there are no columns
-    return np.split(np.take(tables.T, col, axis=1), [n, 2 * n, 3 * n])
-
-
-def _column_powers(N, r):
-    # _powers of each column's N, taken on the radii of all columns with that N
-    order = np.argsort(N, kind="stable")
-    Ns, first = np.unique(N[order], return_index=True)
-    rn, drn = np.empty_like(r), np.empty_like(r)
-    for n, cols in zip(Ns.tolist(), np.split(order, first[1:])):
-        rn[cols], drn[cols] = _powers(n, r[cols])
-    return rn, drn
-
-
 def rbar_basis(alpha, N, K, r):
     """Basis matrix B[k, i] of the normalized radial polynomials at r[i].
 
-    ``alpha`` and ``N`` are scalars, or arrays with one entry per column of
-    ``r``; column i of a batched matrix has the bits of the scalar call at
-    (alpha[i], N[i]) and radius r[i].
+    ``alpha`` and ``N`` are scalars with radii ``r`` of shape (m,), or they
+    name C channels, one entry each, with one row of radii per channel in
+    ``r`` of shape (C, m).  The batched matrix is K by C*m: column j*m + i is
+    channel j at r[j, i], and channel j's block of m columns has the bits of
+    the scalar call at (alpha[j], N[j]) and r[j].
     """
     return _basis(alpha, N, K, r, False)[0]
 
 
 def rbar_basis_with_deriv(alpha, N, K, r):
-    """(B, dB/dr) pair for the normalized radial polynomials at r[i]; batched as ``rbar_basis``."""
+    """(B, dB/dr) pair for the normalized radial polynomials at r; batched as ``rbar_basis``."""
     return _basis(alpha, N, K, r, True)
 
 
 def _basis(alpha, N, K, r, deriv):
     r = np.ascontiguousarray(r, dtype=np.float64)
     if np.ndim(alpha) == 0:
-        arrays, lists = _recurrence_tables(alpha, K)
+        arrays, (_, a1s, b, _) = _recurrence_tables(alpha, K)  # per-row factors as floats
         c0, a1, _, scale = (a[:, None] for a in arrays)  # whole-table products
-        _, a1s, b, _ = lists  # per-row factors, as floats
-    else:  # a column of c0, a1, b and scale for each column of r
-        alpha = np.asarray(alpha, dtype=np.float64)
-        c0, a1, b, scale = _column_tables(alpha, K)
-        a1s = a1  # per-row factors, as rows
-    if np.ndim(N) == 0:
         rn, drn = _powers(N, r)
-    else:
-        rn, drn = _column_powers(np.asarray(N), r)
+    else:  # (rows, C, 1) tables, a column per channel, broadcast over the channel's radii
+        alpha = np.asarray(alpha, dtype=np.float64)[:, None]
+        if np.shape(N) != (len(alpha),) or r.shape[:-1] != (len(alpha),):
+            raise ValueError(f"{len(alpha)} alphas and {np.size(N)} orders for radii of shape {r.shape}")
+        tables = [_recurrence_tables(a, K)[0] for a in alpha[:, 0].tolist()]
+        c0, a1, b, scale = (np.stack([t[i][:n] for t in tables], axis=1)[..., None]
+                            for i, n in enumerate((max(K - 2, 0),) * 3 + (K,)))
+        a1s = a1
+        rn, drn = (np.array(v) for v in zip(*map(_powers, np.asarray(N).tolist(), r)))
     x = r * r
     # rows of P_k(y(r)) and, with deriv, P_k'(y(r)), written in place; ay[k - 2]
     # is the recurrence factor c0 - 2 a1 x of row k
-    P = np.empty((K, r.shape[0]))
+    P = np.empty((K,) + r.shape)
     D = np.empty_like(P) if deriv else None
     tmp = np.empty_like(r)
     P[0] = 1.0
@@ -144,7 +126,7 @@ def _basis(alpha, N, K, r, deriv):
         D *= scale
     P *= scale
     P *= rn
-    return P, D
+    return P.reshape(K, r.size), (D.reshape(K, r.size) if deriv else None)
 
 
 def _fsum_terms(weights, phases, fn):

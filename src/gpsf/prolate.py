@@ -211,7 +211,7 @@ def choose_truncation(channel: ProlateChannel, nmax: int) -> int:
     band limits up to about c = 14700 and nmax up to 19990.
     """
     if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
+        raise ValueError(f"nmax must be nonnegative, got nmax={nmax}")
     # clamped in floats first: e*c overflows at c = 1e308, and the clamp still fails the limit
     k_regime = max(0, math.ceil(min((math.e * channel.c - channel.N) / 2.0, _MAX_TRUNCATION)))
     # (1/2)^(N+p/2+2k+1) < tol  <=>  (N+p/2+2k+1) ln 2 > -ln tol
@@ -365,12 +365,11 @@ def tabulate_channels(mode_lists, r):
     """Phi of several channels' modes at the same radii: an iterator over one table per channel.
 
     Table i is ``tabulate(mode_lists[i], r)`` bit for bit.  One basis build
-    serves a block of consecutive channels, its columns running over
-    (channel, radius) with each column's alpha and N.  A block holds at
-    least one channel, and more while its widest support times its columns
-    stays within 32768 entries; the blocks are built as the tables are
-    read, so that a large request holds one block's basis, coefficients
-    and tables at a time.
+    serves a block of consecutive channels, each channel taking the radii as
+    its row.  A block holds at least one channel, and more while its widest
+    support times its columns stays within 32768 entries; the blocks are
+    built as the tables are read, so that a large request holds one block's
+    basis, coefficients and tables at a time.
     """
     if len(mode_lists) == 0:
         raise ValueError("no channels to tabulate")
@@ -382,8 +381,8 @@ def tabulate_channels(mode_lists, r):
 def _block_tables(block, K, r):
     # the tables of one block of stacked channels, from one basis build
     m = len(r)
-    B = kernels.rbar_basis(np.repeat([ch.alpha for ch, _, _ in block], m),
-                           np.repeat([ch.N for ch, _, _ in block], m), K, np.tile(r, len(block)))
+    B = kernels.rbar_basis([ch.alpha for ch, _, _ in block], [ch.N for ch, _, _ in block], K,
+                           np.broadcast_to(r, (len(block), m)))
     # each channel's rows and columns copied out contiguous, as its own build returns them,
     # so that the product rounds as tabulate's does
     return [A @ np.ascontiguousarray(B[:k, j * m : (j + 1) * m]) for j, (_, k, A) in enumerate(block)]

@@ -406,6 +406,14 @@ class TestExitCodes:
         def no_solve(*a, **k):
             raise AssertionError("a channel solve started for a negative mode index")
 
+        # a negative nmax is refused by its own name, by figure-data before any chain
+        # as by eigs in its solve
+        monkeypatch.setattr(cli, "beta_chain", no_solve)
+        for command in ("figure-data", "eigs"):
+            code, out, err = run_cli([command, "--p", "0", "--c", "20", "--N", "0", "--nmax", "-1"], capsys)
+            assert code == 2 and out == ""
+            assert err == "gpsf: invalid request: nmax must be nonnegative, got nmax=-1\n"
+
         # a negative mode index is refused by its own name, before any solve
         monkeypatch.setattr(cli, "solve_channel", no_solve)
         for command in (["eval", "--r", "0.5"], ["roots"]):
@@ -413,6 +421,15 @@ class TestExitCodes:
                                      + command[1:], capsys)
             assert code == 2 and out == ""
             assert err == "gpsf: invalid request: n must be nonnegative, got n=-1\n"
+
+    @pytest.mark.parametrize("radii", [",", ",,"])
+    def test_empty_radius_list_refused(self, capsys, monkeypatch, radii):
+        solves = []
+        monkeypatch.setattr(cli, "solve_channel", lambda *a, **k: solves.append(a))
+        code, out, err = run_cli(["eval", "--p", "0", "--c", "20", "--N", "0", "--n", "0", f"--r={radii}"],
+                                 capsys)
+        assert code == 2 and out == "" and solves == []
+        assert err == f"gpsf: invalid request: --r needs at least one radius, got {radii!r}\n"
 
     def test_bad_radial_spec(self, capsys):
         code, _, err = run_cli(

@@ -276,15 +276,15 @@ def tabulation_runs():
 class TestChannelTabulation:
     @pytest.mark.parametrize("case", range(len(TABULATION_CASES)))
     def test_one_basis_build_per_channel(self, tabulation_runs, monkeypatch, case):
-        # one build for every order, its columns running over (order, radial node)
+        # one build for every order, one channel per order, each with the radial nodes as its row
         rule, samples, c, cache, modes, _ = tabulation_runs[case]
         calls = _counting(monkeypatch, kernels, "rbar_basis")
         interp.recover_coeffs(rule, samples, c, modes, cache=cache)
         orders = sorted({N for N, _, _ in modes})
         assert len(calls) == 1
         _, N, _, r = calls[0]
-        assert np.array_equal(N, np.repeat(orders, len(rule.radial.nodes)))
-        assert np.array_equal(r, np.tile(rule.radial.nodes, len(orders)))
+        assert list(N) == orders
+        assert np.array_equal(r, np.broadcast_to(rule.radial.nodes, (len(orders), len(rule.radial.nodes))))
 
     @pytest.mark.parametrize("case", range(len(TABULATION_CASES)))
     def test_coefficients_match_per_term_loop(self, tabulation_runs, case):
@@ -425,10 +425,12 @@ class TestOneBasisPassPerChannel:
         builds = _counting(monkeypatch, kernels, "rbar_basis")
         y = np.full(exp.p + 2, 0.35)
         got = interp.synthesize(exp, y, cache=cache)
-        # one build, one column per order at |y|
-        assert len(builds) == 1
-        assert builds[0][1].tolist() == sorted({N for N, _, _ in exp.terms})
+        # one build, one channel per order, each with the one radius |y|
+        orders = sorted({N for N, _, _ in exp.terms})
         r = float(np.linalg.norm(y))
+        assert len(builds) == 1
+        assert list(builds[0][1]) == orders
+        assert np.array_equal(builds[0][3], np.full((len(orders), 1), r))
         ref = 0.0 + 0.0j
         for (N, ell, n), a in sorted(exp.terms.items()):
             s = float(surface_harmonic(exp.p, N, ell, (y / r)[None, :])[0])
@@ -441,7 +443,7 @@ class TestOneBasisPassPerChannel:
         kept = {k: (v if k[0] == 2 else 0.0j) for k, v in exp.terms.items()}
         builds = _counting(monkeypatch, kernels, "rbar_basis")
         got = interp.synthesize(gpsf.GpsfExpansion(exp.p, c, kept), [0.2, -0.1], cache=cache)
-        assert [a[1].tolist() for a in builds] == [[2]]
+        assert [list(a[1]) for a in builds] == [[2]]
         assert got == interp.synthesize(
             gpsf.GpsfExpansion(exp.p, c, {k: v for k, v in kept.items() if v != 0.0}), [0.2, -0.1],
             cache=cache)

@@ -151,35 +151,59 @@ class TestBasisRowLoop:
 
 
 class TestBatchedColumns:
-    """One batched build over mixed alphas and N: each channel's column block has the bits
-    of that channel's own build."""
+    """One batched build over channels of mixed alpha and N, each with its row of radii:
+    each channel's column block has the bits of that channel's own build."""
 
     CHANNELS = [(p, N) for p in (-1, 0, 1) for N in (0, 1, 5)]
     RADII = np.array([0.0, 1e-6, 1.0])
 
-    @pytest.mark.parametrize("K", [1, 2, 3, 37, 607])
-    def test_column_blocks_bit_identical(self, K):
-        m = len(self.RADII)
-        alpha = np.repeat([N + p / 2.0 for p, N in self.CHANNELS], m)
-        N = np.repeat([N for _, N in self.CHANNELS], m)
-        r = np.tile(self.RADII, len(self.CHANNELS))
+    @staticmethod
+    def _check_blocks(K, channels, r):
+        m = r.shape[1]
+        alpha, N = [n + p / 2.0 for p, n in channels], [n for _, n in channels]
         B, D = kernels.rbar_basis_with_deriv(alpha, N, K, r)
         B_only = kernels.rbar_basis(alpha, N, K, r)
-        for j, (p, n) in enumerate(self.CHANNELS):
+        assert B.shape == D.shape == B_only.shape == (K, len(channels) * m)
+        for j, (p, n) in enumerate(channels):
             cols = slice(j * m, (j + 1) * m)
-            B_ref, D_ref = kernels.rbar_basis_with_deriv(n + p / 2.0, n, K, self.RADII)
+            B_ref, D_ref = kernels.rbar_basis_with_deriv(n + p / 2.0, n, K, r[j])
             assert np.ascontiguousarray(B[:, cols]).tobytes() == B_ref.tobytes(), (p, n)
             assert np.ascontiguousarray(D[:, cols]).tobytes() == D_ref.tobytes(), (p, n)
             assert np.ascontiguousarray(B_only[:, cols]).tobytes() == B_ref.tobytes(), (p, n)
 
+    @pytest.mark.parametrize("K", [1, 2, 3, 37, 607])
+    def test_column_blocks_bit_identical(self, K):
+        r = np.broadcast_to(self.RADII, (len(self.CHANNELS), len(self.RADII)))
+        self._check_blocks(K, self.CHANNELS, r)
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 37, 607])
+    def test_own_radius_rows(self, K):
+        # channels need not share their radii: each takes its own row
+        rng = np.random.default_rng(K)
+        r = np.vstack([np.concatenate([self.RADII, rng.uniform(0.0, 1.0, 4)]) for _ in self.CHANNELS])
+        self._check_blocks(K, self.CHANNELS[::-1], r)
+
     def test_interleaved_columns(self):
-        # columns need not be grouped by channel: each takes its own alpha and N
-        alpha = np.array([5.5, 0.0, 5.5, -0.5, 0.0])
-        N = np.array([5, 0, 5, 0, 0])
-        r = np.array([0.3, 0.3, 0.9, 1e-6, 1.0])
-        B = kernels.rbar_basis(alpha, N, 40, r)
-        for i in range(len(r)):
-            assert B[:, i].tobytes() == kernels.rbar_basis(float(alpha[i]), int(N[i]), 40, r[i : i + 1]).tobytes()
+        # one radius per column, as C channels of one radius each; a channel may repeat
+        channels = [(1, 5), (0, 0), (1, 5), (-1, 0), (0, 0)]
+        r = np.array([[0.3], [0.3], [0.9], [1e-6], [1.0]])
+        B = kernels.rbar_basis([n + p / 2.0 for p, n in channels], [n for _, n in channels], 40, r)
+        for j, (p, n) in enumerate(channels):
+            assert B[:, j].tobytes() == kernels.rbar_basis(n + p / 2.0, n, 40, r[j]).tobytes()
+
+    @pytest.mark.parametrize("alpha, N, r", [
+        ([0.0, 1.0], [0], [0.5, 0.6]),  # one order for two alphas, radii not in rows
+        ([0.0, 1.0], [0], [[0.5], [0.6]]),  # fewer orders than alphas
+        ([0.0, 1.0], 0, [[0.5], [0.6]]),  # a scalar order with batched alphas
+        ([0.5], [0, 1], [[0.5], [0.6]]),  # fewer alphas than orders
+        ([0.0, 1.0], [0, 1], [[0.5, 0.6]]),  # fewer radius rows than channels
+        ([0.0, 1.0], [0, 1], [0.5, 0.6]),  # radii not in rows
+        ([0.0, 1.0], [0, 1], [[[0.5]], [[0.6]]]),  # rows that are not vectors
+    ])
+    def test_mismatched_batch_refused(self, alpha, N, r):
+        for build in (kernels.rbar_basis, kernels.rbar_basis_with_deriv):
+            with pytest.raises(ValueError, match="alphas and .* orders for radii of shape"):
+                build(np.array(alpha), np.array(N), 3, np.array(r))
 
 
 class TestRecurrenceTables:

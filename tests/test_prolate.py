@@ -456,7 +456,7 @@ class TestChannelBatch:
         real = kernels.rbar_basis
         monkeypatch.setattr(kernels, "rbar_basis", lambda *a: builds.append(a) or real(*a))
         tables = list(prolate.tabulate_channels(lists, r))
-        assert len(builds) == 1 and len(builds[0][3]) == len(lists) * len(r)
+        assert len(builds) == 1 and np.shape(builds[0][3]) == (len(lists), len(r))
         monkeypatch.setattr(kernels, "rbar_basis", real)
         assert len(tables) == len(lists)
         for modes, table in zip(lists, tables):
@@ -473,9 +473,8 @@ class TestChannelBatch:
         monkeypatch.setattr(prolate, "_BLOCK_ENTRIES", limit)
         builds = []  # (entries, channels) of each build
         real = kernels.rbar_basis
-        m = len(self.RADII)
         monkeypatch.setattr(kernels, "rbar_basis",
-                            lambda *a: builds.append((a[2] * len(a[3]), len(a[3]) // m)) or real(*a))
+                            lambda *a: builds.append((a[2] * np.size(a[3]), len(a[3]))) or real(*a))
         blocked = list(prolate.tabulate_channels(lists, self.RADII))
         assert len(builds) >= 3 and sum(n for _, n in builds) == len(lists)
         assert all(entries <= limit or n == 1 for entries, n in builds)
