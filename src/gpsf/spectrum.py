@@ -36,6 +36,7 @@ _EPS = np.finfo(float).eps
 _DEN_UNDERFLOW = 1e-280
 _CHAIN_UNDERFLOW = 1e-250
 _FIRST_BATCH = 16  # highest mode of the first solve of a chain that stops at mu_stop
+_CHAIN_BLOCK = 1 << 16  # most coefficients in one row block of the chain's integrals
 
 
 @dataclass(frozen=True)
@@ -48,9 +49,13 @@ class EigenTriple:
     mode: RadialModeId
 
 
+# i^N by N mod 4, exact at every N: Python's 1j**N takes the polar form above N = 100
+_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
 def lambda_from_beta(p: int, N: int, beta: float) -> complex:
     """lambda = i^N (2 pi)^(p/2+1) beta; real for even N, imaginary for odd."""
-    return (1j**N) * (2.0 * math.pi) ** (p / 2.0 + 1.0) * beta
+    return _I_POWERS[N % 4] * (2.0 * math.pi) ** (p / 2.0 + 1.0) * beta
 
 
 _MU_CEIL = math.nextafter(1.0, 0.0)
@@ -68,11 +73,10 @@ def mu_from_beta(p: int, c: float, beta: float) -> float:
 def _series_weights_log(alpha: float, K: int) -> np.ndarray:
     # log of sqrt(2(2i+alpha+1)) * binom(i+alpha, i)
     i = np.arange(K)
-    lg = np.vectorize(math.lgamma)
     return (
         0.5 * np.log(2.0 * (2.0 * i + alpha + 1.0))
-        + lg(i + alpha + 1.0)
-        - lg(i + 1.0)
+        + np.array(list(map(math.lgamma, (i + alpha + 1.0).tolist())))
+        - np.array(list(map(math.lgamma, (i + 1.0).tolist())))
         - math.lgamma(alpha + 1.0)
     )
 
@@ -86,11 +90,14 @@ def beta_direct(mode: ZernikeCoeffs) -> float:
     truncated as soon as the partial sum is a factor of machine precision
     larger than the next term.
 
+    The partial sums come from one left-to-right accumulation, so they are
+    the sums of a term-by-term loop bit for bit.
+
     Raises
     ------
     NumericalError
-        If the denominator series produces a non-finite partial sum, or
-        underflows below 1e-280.
+        If the denominator series produces a non-finite partial sum at or
+        before the stopping term, or underflows below 1e-280.
     """
     ch = mode.channel
     al = ch.alpha
@@ -102,20 +109,22 @@ def beta_direct(mode: ZernikeCoeffs) -> float:
     )
     terms = mode.coeffs * np.exp(_series_weights_log(al, len(mode.coeffs)))
     terms[1::2] *= -1.0
-    s = 0.0
-    for j, t in enumerate(terms):
-        s += t
-        if not math.isfinite(s):
-            raise NumericalError(
-                f"denominator series diverged at term {j} for mode {mode.mode_id}"
-            )
-        if j + 1 < len(terms) and abs(s) > abs(terms[j + 1]) / _EPS:
-            break
+    terms[0] += 0.0  # the loop's first sum 0.0 + t_0: a -0.0 turns +0.0
+    sums = np.cumsum(terms)
+    # the first j whose partial sum is a factor 1/eps above term j+1, else the last term
+    stop = np.flatnonzero(np.abs(sums[:-1]) > np.abs(terms[1:]) / _EPS)
+    j = int(stop[0]) if len(stop) else len(terms) - 1
+    s = float(sums[j])
+    if not math.isfinite(s):  # a sum that is not finite stays so: name the first
+        raise NumericalError(
+            f"denominator series diverged at term {np.flatnonzero(~np.isfinite(sums))[0]} "
+            f"for mode {mode.mode_id}"
+        )
     if abs(s) < _DEN_UNDERFLOW:
         raise NumericalError(
             f"denominator series underflow ({s:.3e}) for mode {mode.mode_id}"
         )
-    return math.exp(log_num) * mode.coeffs[0] / s
+    return math.exp(log_num) * float(mode.coeffs[0]) / s
 
 
 def convert_rtprime(coeffs: np.ndarray, N: int, p: int) -> np.ndarray:
@@ -185,58 +194,75 @@ def beta_chain(
         beta_{n+1} / beta_n = I(n, n+1) / I(n+1, n),
         I(n, m) = integral of r Phi'_{N,n} Phi_{N,m} r^(p+1) dr,
 
-    with both integrals evaluated as coefficient dot products.  The chain
-    stops early (with a warning) if a denominator integral falls below
-    1e-250, or once mu drops below ``mu_stop``.  With ``mu_stop`` > 0 and
-    no ``modes``, only the modes the chain uses are solved: the first 17,
-    and twice as many each time the chain uses them all.  ``modes`` of
-    another channel raise ``ValueError``.
+    with both integrals evaluated as coefficient dot products, taken from
+    row blocks of at most 65536 coefficients so that the work arrays stay
+    small beside the modes.  The chain itself runs on floats and builds an
+    :class:`EigenTriple` per mode only once it has stopped.  It stops
+    early (with a warning) if a denominator integral falls below 1e-250,
+    or once mu drops below ``mu_stop``.  With ``mu_stop`` > 0 and no
+    ``modes``, only the modes the chain uses are solved: the first 17, and
+    twice as many each time the chain uses them all.  ``modes`` of another
+    channel raise ``ValueError``.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if modes is None:
-        return _sized_chain(channel, kmax, mu_stop, _FIRST_BATCH if mu_stop > 0.0 else kmax)
-    if len(modes) <= kmax:
-        raise ValueError(f"the chain to kmax={kmax} needs {kmax + 1} modes, got {len(modes)}")
-    stray = next((m for m in modes if m.channel is not channel and m.channel != channel), None)
-    if stray is not None:
-        raise ValueError(f"mode {stray.n} of {stray.channel} given for the chain of {channel}")
-    return _chain(channel, modes[: kmax + 1], mu_stop)
+        betas, mus = _sized_chain(channel, kmax, mu_stop, _FIRST_BATCH if mu_stop > 0.0 else kmax)
+    else:
+        if len(modes) <= kmax:
+            raise ValueError(f"the chain to kmax={kmax} needs {kmax + 1} modes, got {len(modes)}")
+        stray = next((m for m in modes if m.channel is not channel and m.channel != channel), None)
+        if stray is not None:
+            raise ValueError(f"mode {stray.n} of {stray.channel} given for the chain of {channel}")
+        betas, mus = _chain(channel, modes[: kmax + 1], mu_stop, 3)
+    p, N = channel.p, channel.N
+    return [EigenTriple(b, lambda_from_beta(p, N, b), mu, channel.mode_id(n))
+            for n, (b, mu) in enumerate(zip(betas, mus))]
 
 
-def _sized_chain(channel, kmax: int, mu_stop: float, first: int) -> list[EigenTriple]:
+def _sized_chain(channel, kmax: int, mu_stop: float, first: int) -> tuple[list[float], list[float]]:
     # solve modes 0..first, and twice as many while the chain uses every
     # solved mode without reaching mu_stop or kmax
     m = min(first, kmax)
     while True:
-        chain = _chain(channel, solve_channel(channel, m), mu_stop)
-        if m == kmax or len(chain) <= m or chain[-1].mu < mu_stop:
-            return chain
+        betas, mus = _chain(channel, solve_channel(channel, m), mu_stop, 4)
+        if m == kmax or len(mus) <= m or mus[-1] < mu_stop:
+            return betas, mus
         m = min(2 * m + 1, kmax)
 
 
-def _chain(channel: ProlateChannel, modes: list[ZernikeCoeffs], mu_stop: float) -> list[EigenTriple]:
-    # the ratio chain over all of ``modes`` (see beta_chain)
-    p, c, N = channel.p, channel.c, channel.N
-
-    def triple(n: int, beta: float) -> EigenTriple:
-        return EigenTriple(beta, lambda_from_beta(p, N, beta), mu_from_beta(p, c, beta), channel.mode_id(n))
-
-    out = [triple(0, beta_direct(modes[0]))]
-    A = np.vstack([m.coeffs for m in modes])
-    X = _rphi_prime(A, N, p)
-    # I(n, n+1) and I(n+1, n) of every n, each a stacked 1-by-K product, so one dot product
-    nums = (X[:-1, None, :] @ A[1:, :, None])[:, 0, 0].tolist()
-    dens = (X[1:, None, :] @ A[:-1, :, None])[:, 0, 0].tolist()
+def _chain(channel: ProlateChannel, modes: list[ZernikeCoeffs], mu_stop: float,
+           stacklevel: int) -> tuple[list[float], list[float]]:
+    # (betas, mus) of the ratio chain over all of ``modes`` (see beta_chain); a truncation
+    # warns at the frame ``stacklevel``, the caller of the public function
+    cp = channel.c ** (channel.p + 2)
+    b = beta_direct(modes[0])
+    betas, mus = [b], [min(cp * b * b, _MU_CEIL)]  # mu_from_beta, inlined
+    nums, dens = _integrals(modes, channel.N, channel.p)
     for n, (num, den) in enumerate(zip(nums, dens)):
         if abs(den) < _CHAIN_UNDERFLOW:
             warnings.warn(f"ratio chain truncated at n={n + 1} for channel {channel}: "
-                          f"denominator integral {den:.3e}", RuntimeWarning, stacklevel=3)
+                          f"denominator integral {den:.3e}", RuntimeWarning, stacklevel=stacklevel)
             break
-        out.append(triple(n + 1, out[-1].beta * num / den))
-        if out[-1].mu < mu_stop:
+        b = b * num / den
+        betas.append(b)
+        mus.append(min(cp * b * b, _MU_CEIL))
+        if mus[-1] < mu_stop:
             break
-    return out
+    return betas, mus
+
+
+def _integrals(modes: list[ZernikeCoeffs], N: int, p: int) -> tuple[list[float], list[float]]:
+    # I(n, n+1) and I(n+1, n) of every n, a block of rows at a time; a block repeats the
+    # last row of the one before it.  Each integral is a stacked 1-by-K product, so one dot product
+    rows = max(1, _CHAIN_BLOCK // len(modes[0].coeffs))
+    nums, dens = [], []
+    for i in range(0, len(modes) - 1, rows):
+        A = np.array([m.coeffs for m in modes[i : i + rows + 1]])
+        X = _rphi_prime(A, N, p)
+        nums += (X[:-1, None, :] @ A[1:, :, None])[:, 0, 0].tolist()
+        dens += (X[1:, None, :] @ A[:-1, :, None])[:, 0, 0].tolist()
+    return nums, dens
 
 
 def harmonic_count(p: int, N: int) -> int:
@@ -258,7 +284,10 @@ def mu_sum_check(p: int, c: float, Nmax: int, nmax: int) -> tuple[float, float]:
     falls below 1e-26 since the omitted tail decays super-exponentially,
     and end at the first channel whose top mu is below 1e-26.  Each channel
     first solves as many modes as the previous chain used (mu falls with N).
-    A negative ``Nmax`` or ``nmax`` raises ``ValueError``.
+    A channel costs its solves, one :func:`beta_direct` each, and array work:
+    its chain runs on floats and its mus are summed in mode order, with no
+    :class:`EigenTriple` built.  A negative ``Nmax`` or ``nmax`` raises
+    ``ValueError``.
     """
     if Nmax < 0 or nmax < 0:
         raise ValueError(f"Nmax and nmax must be nonnegative, got Nmax={Nmax}, nmax={nmax}")
@@ -268,11 +297,11 @@ def mu_sum_check(p: int, c: float, Nmax: int, nmax: int) -> tuple[float, float]:
         h = harmonic_count(p, N)
         if h == 0:
             continue
-        triples = _sized_chain(ProlateChannel(p, c, N), nmax, 1e-26, batch)
-        total += h * sum(t.mu for t in triples)
-        if triples[0].mu < 1e-26:
+        _, mus = _sized_chain(ProlateChannel(p, c, N), nmax, 1e-26, batch)
+        total += h * sum(mus)
+        if mus[0] < 1e-26:
             break
-        batch = len(triples) - 1
+        batch = len(mus) - 1
     closed = c ** (p + 2) / (2.0 ** (p + 2) * math.gamma(p / 2.0 + 2.0) ** 2)
     return total, closed
 

@@ -33,6 +33,84 @@ class TestBetaDirect:
             oracles.h_apply_quad(mode, r), rel=1e-10
         )
 
+    @pytest.mark.parametrize("p", [-1, 0, 1])
+    @pytest.mark.parametrize("c", [0.5, 20.0, 100.0, 200.0])
+    def test_matches_the_term_loop(self, channels, p, c):
+        # the one accumulation against the loop it replaced, bit for bit, from N = 0 to 1.3c
+        # (at N near c the series weights reach 1e88)
+        Ns = (0, 1) if p == -1 else sorted({0, 1, int(c / 2), max(int(c) - 1, 0), int(c),
+                                            int(c) + 1, int(1.3 * c)})
+        for N in Ns:
+            for mode in channels(p, c, N, 3):
+                _assert_same_beta(mode)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("k, value", [(3, math.inf), (3, -math.inf), (5, math.nan), (0, math.nan),
+                                          (2, 1e308), (-1, math.nan)])
+    def test_patched_coefficients_fail_alike(self, channels, k, value):
+        # a partial sum that is not finite names the loop's term (the term of 1e308 overflows
+        # with its weight); a coefficient past the stop is never read
+        mode = channels(0, 20.0, 0, 2)[2]
+        coeffs = mode.coeffs.copy()
+        coeffs[k] = value
+        patched = gpsf.ZernikeCoeffs(mode.channel, mode.n, mode.chi, coeffs)
+        if k < 0:
+            assert math.isfinite(gpsf.beta_direct(patched))
+        else:
+            with pytest.raises(gpsf.NumericalError, match=f"diverged at term {k} "):
+                gpsf.beta_direct(patched)
+        _assert_same_beta(patched)
+
+    @pytest.mark.parametrize("patch", ["tiny", "zeros", "signed zeros"])
+    def test_underflow_fails_alike(self, channels, patch):
+        # a denominator below 1e-280 raises as the loop does, also an exact zero; with every
+        # term -0.0 the loop's sum, started at 0.0, is +0.0
+        mode = channels(0, 20.0, 0, 1)[1]
+        coeffs = {"tiny": mode.coeffs * 1e-300, "zeros": mode.coeffs * 0.0,
+                  "signed zeros": np.where(np.arange(len(mode.coeffs)) % 2, 0.0, -0.0)}[patch]
+        patched = gpsf.ZernikeCoeffs(mode.channel, mode.n, mode.chi, coeffs)
+        with pytest.raises(gpsf.NumericalError, match="denominator series underflow"):
+            gpsf.beta_direct(patched)
+        _assert_same_beta(patched)
+
+
+def _beta_direct_loop(mode):
+    # beta_direct as a loop over the series terms, the reference for its one accumulation
+    ch = mode.channel
+    al = ch.alpha
+    log_num = (ch.N * math.log(ch.c) - al * math.log(2.0) - math.lgamma(al + 1.0)
+               - 0.5 * math.log(2.0 * ch.N + ch.p + 2.0))
+    i = np.arange(len(mode.coeffs))
+    lg = np.vectorize(math.lgamma)
+    log_w = (0.5 * np.log(2.0 * (2.0 * i + al + 1.0)) + lg(i + al + 1.0) - lg(i + 1.0)
+             - math.lgamma(al + 1.0))
+    terms = mode.coeffs * np.exp(log_w)
+    terms[1::2] *= -1.0
+    s = 0.0
+    for j, t in enumerate(terms):
+        s += t
+        if not math.isfinite(s):
+            raise gpsf.NumericalError(f"denominator series diverged at term {j} for mode {mode.mode_id}")
+        if j + 1 < len(terms) and abs(s) > abs(terms[j + 1]) / np.finfo(float).eps:
+            break
+    if abs(s) < 1e-280:
+        raise gpsf.NumericalError(f"denominator series underflow ({s:.3e}) for mode {mode.mode_id}")
+    return math.exp(log_num) * mode.coeffs[0] / s
+
+
+def _assert_same_beta(mode):
+    # beta_direct gives the loop's bits, or raises its error with its message
+    try:
+        ref = _beta_direct_loop(mode)
+    except gpsf.NumericalError as exc:
+        with pytest.raises(gpsf.NumericalError) as info:
+            gpsf.beta_direct(mode)
+        assert str(info.value) == str(exc)
+        return
+    beta = gpsf.beta_direct(mode)
+    assert type(beta) is float
+    assert beta == ref and math.copysign(1.0, beta) == math.copysign(1.0, ref), mode.mode_id
+
 
 class TestConvertRtprime:
     def test_zero_input(self):
@@ -144,9 +222,10 @@ class TestChainIntegrals:
                 ref = float(np.sum(w * x * dphi * phim * x ** (p + 1.0)))
                 assert ours == pytest.approx(ref, rel=1e-11, abs=1e-12)
 
-    def test_stacked_products_match_per_pair_dots(self, channels):
-        # the chain takes every I(n, n+1) and I(n+1, n) from two stacked
-        # products; each is the one dot product X[n] @ A[n+1], bit for bit
+    def test_stacked_products_match_per_pair_dots(self, channels, monkeypatch):
+        # the chain takes every I(n, n+1) and I(n+1, n) from two stacked products
+        # per row block (one row, a few rows, all rows); each is the one dot
+        # product X[n] @ A[n+1], bit for bit
         from gpsf import spectrum
 
         for p, c, N in ((-1, 30.0, 1), (0, 100.0, 0), (0, 55.0, 17), (1, 20.0, 4)):
@@ -157,7 +236,9 @@ class TestChainIntegrals:
             betas = [gpsf.beta_direct(modes[0])]
             for n in range(len(modes) - 1):
                 betas.append(betas[-1] * float(X[n] @ A[n + 1]) / float(X[n + 1] @ A[n]))
-            assert [t.beta for t in spectrum._chain(ch, modes, 0.0)] == betas
+            for block in (1, 200, 1 << 16):
+                monkeypatch.setattr(spectrum, "_CHAIN_BLOCK", block)
+                assert spectrum._chain(ch, modes, 0.0, 3)[0] == betas
 
 
 class TestCoefficientInnerProduct:
@@ -259,6 +340,98 @@ class TestTinyBandLimits:
             assert abs(math.log(abs(floor[n].beta)) - log_expected) <= 1e-12
 
 
+class TestChainWork:
+    """The chain's work arrays and the calls the tracer times."""
+
+    def test_work_arrays_stay_below_one_copy_of_the_modes(self):
+        # 1001 modes of K = 1010 coefficients: the integrals are taken a row block at a time,
+        # so the chain's peak allocation stays below one K x m copy of the modes (8.1 MB)
+        import tracemalloc
+
+        ch = ProlateChannel(0, 20.0, 0)
+        modes = gpsf.solve_channel(ch, 1000)
+        tracemalloc.start()
+        try:
+            chain = gpsf.beta_chain(ch, 1000, modes=modes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(chain) == 1001
+        assert peak < 8 * len(modes[0].coeffs) * len(modes)
+
+    @pytest.mark.parametrize("p, c", [(0, 10.0), (1, 15.0), (0, 50.0), (-1, 80.0)])
+    def test_one_beta_direct_per_solve(self, monkeypatch, p, c):
+        # the spectral sum solves through spectrum.solve_channel and takes each top beta
+        # through spectrum.beta_direct, once per solve; at (0, 10) and (1, 15) every channel is
+        # solved once, elsewhere the first channel's batch doubles
+        from gpsf import spectrum
+
+        solved, direct = [], []
+        real_solve, real_direct = spectrum.solve_channel, spectrum.beta_direct
+        monkeypatch.setattr(spectrum, "solve_channel",
+                            lambda ch, nmax: solved.append(ch.N) or real_solve(ch, nmax))
+        monkeypatch.setattr(spectrum, "beta_direct",
+                            lambda mode: direct.append(mode.channel.N) or real_direct(mode))
+        gpsf.mu_sum_check(p, c, int(c) + 40, int(c) + 40)
+        assert solved == direct and len(solved) > 1
+        once = sorted(set(solved)) == solved
+        assert once == (c < 20.0)
+
+    def test_truncation_warns_at_the_callers_line(self, channels, monkeypatch):
+        # a denominator integral below 1e-250 stops the chain with a warning that names the
+        # line calling beta_chain or mu_sum_check, on each of their paths
+        from gpsf import spectrum
+
+        real = spectrum._integrals
+
+        def tiny_den(modes, N, p):
+            nums, dens = real(modes, N, p)
+            if len(dens) > 2:
+                dens[2] = 1e-260
+            return nums, dens
+
+        monkeypatch.setattr(spectrum, "_integrals", tiny_den)
+        ch = ProlateChannel(0, 20.0, 0)
+        modes = channels(0, 20.0, 0, 6)
+        with pytest.warns(RuntimeWarning) as caught:
+            given = gpsf.beta_chain(ch, 6, modes=modes); line_given = _lineno()
+            sized = gpsf.beta_chain(ch, 30, mu_stop=1e-26); line_sized = _lineno()
+            gpsf.mu_sum_check(0, 20.0, 1, 30); line_sum = _lineno()
+        assert len(given) == len(sized) == 3
+        lines = [line_given, line_sized, line_sum, line_sum]  # two channels in the sum
+        assert [(w.filename, w.lineno) for w in caught] == [(__file__, n) for n in lines]
+        assert all(str(w.message).startswith("ratio chain truncated at n=3 for channel")
+                   for w in caught)
+
+
+def _lineno():
+    # the line of the statement that calls this, which is the line of the call before it
+    import inspect
+
+    return inspect.currentframe().f_back.f_lineno
+
+
+class TestLambdaFromBeta:
+    def test_i_to_the_N_is_pythons_power_up_to_100(self):
+        # the same bits as 1j**N, also the -0 real part at N = 3 mod 4
+        for N in range(101):
+            for beta in (0.25, -3e-40):
+                lam = gpsf.lambda_from_beta(1, N, beta)
+                ref = (1j**N) * (2.0 * math.pi) ** 1.5 * beta
+                for a, b in ((lam.real, ref.real), (lam.imag, ref.imag)):
+                    assert a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+    @pytest.mark.parametrize("N", [101, 102, 103, 150])
+    def test_exact_beyond_100(self, N):
+        # above N = 100 Python's 1j**N leaves a stray part of 1e-15 relative: it is exactly
+        # zero here, and the other part and the modulus are those of 1j**N
+        beta = 0.003333333333333053
+        lam, ref = gpsf.lambda_from_beta(0, N, beta), (1j**N) * (2.0 * math.pi) * beta
+        zero, kept = (lam.imag, "real") if N % 2 == 0 else (lam.real, "imag")
+        assert zero == 0.0 and getattr(lam, kept) == getattr(ref, kept) != 0.0
+        assert abs(lam) == abs(ref)
+
+
 class TestEigenTripleStructure:
     def test_lambda_reality_by_parity(self, channels):
         for N, expect_real in ((0, True), (1, False), (2, True), (3, False)):
@@ -307,6 +480,15 @@ class TestMuSum:
         partial, closed = gpsf.mu_sum_check(0, 20.0, 60, 60)
         ratio = partial / closed
         assert 1.0 - 1e-6 <= ratio <= 1.0 + 1e-10
+
+    @pytest.mark.parametrize("p, c, ratio", [(0, 20.0, "0.9999999999999987"),
+                                             (0, 50.0, "0.999999999999998"),
+                                             (1, 50.0, "0.9999999999999937"),
+                                             (-1, 80.0, "1.0000000000000002")])
+    def test_ratio_digits_are_pinned(self, p, c, ratio):
+        # spectrum-check's default sizes; the sums of the float chain keep these exact values
+        partial, closed = gpsf.mu_sum_check(p, c, int(c) + 40, int(c) + 40)
+        assert repr(float(partial / closed)) == ratio
 
 
 def _full_solve_sum(p, c, Nmax, nmax):
