@@ -14,12 +14,8 @@ on [0, 1].
 from __future__ import annotations
 
 import functools
-import importlib.util
 import itertools
 import math
-import os
-import sys
-import sysconfig
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,28 +51,7 @@ _BLOCK_ENTRIES = 1 << 15  # most basis entries (rows times columns) of a batched
 _QR_FRACTION = 16
 
 
-def _load_flapack():
-    # SciPy's LAPACK extension, loaded from its file: importing it through scipy.linalg also
-    # imports SciPy's array-API layer, which took more than half of gpsf's import time.  It is
-    # registered under its own name, so gpsf and scipy.linalg share one instance.
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    import scipy
-
-    path = os.path.join(os.path.dirname(scipy.__file__), "linalg",
-                        "_flapack" + sysconfig.get_config_var("EXT_SUFFIX"))
-    if not os.path.isfile(path):
-        raise ImportError(f"SciPy's LAPACK extension is missing: {path}", name=name, path=path)
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[name] = module
-    return module
-
-
-_flapack = _load_flapack()
-dsterf, dstebz, dstein = _flapack.dsterf, _flapack.dstebz, _flapack.dstein
+dsterf, dstebz, dstein = kernels._flapack.dsterf, kernels._flapack.dstebz, kernels._flapack.dstein
 
 
 class NumericalError(RuntimeError):
@@ -404,7 +379,11 @@ def _channel_blocks(mode_lists, m):
 
 def _finite_table(mode: ZernikeCoeffs, r, deriv=False):
     # tabulate(mode, r, deriv), raising where the basis recurrence overflowed (as at
-    # c = 4000, N = 2000) instead of returning its inf and NaN
+    # c = 4000, N = 2000) instead of returning its inf and NaN; a radius that is not
+    # finite is refused first
+    r = _as_points(r)
+    if not np.isfinite(r).all():
+        raise ValueError(f"radii must be finite, got {r[~np.isfinite(r)][0]}")
     with np.errstate(over="ignore", invalid="ignore"):
         table = tabulate(mode, r, deriv)
     if not np.all(np.isfinite(table)):
@@ -417,14 +396,15 @@ def eval_phi_and_deriv(mode: ZernikeCoeffs, r):
     """(Phi_{N,n}, dPhi_{N,n}/dr) at radii in [0, 1], from one basis build.
 
     A scalar radius gives a pair of floats, read from a one-point table.  A
-    value that is not finite raises ``NumericalError`` naming the mode.
+    radius that is not finite raises ``ValueError``; a value that is not
+    finite raises ``NumericalError`` naming the mode.
     """
     f, df = _finite_table(mode, r, deriv=True)
     return (float(f[0]), float(df[0])) if np.ndim(r) == 0 else (f, df)
 
 
 def eval_phi(mode: ZernikeCoeffs, r):
-    """Phi_{N,n} at radii in [0, 1]; a value that is not finite raises ``NumericalError``."""
+    """Phi_{N,n} at radii in [0, 1]; raises as ``eval_phi_and_deriv`` does."""
     f = _finite_table(mode, r)
     return float(f[0]) if np.ndim(r) == 0 else f
 

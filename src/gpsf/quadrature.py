@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prolate import NumericalError, ProlateChannel, ZernikeCoeffs, _flapack, solve_channel, tabulate
+from .kernels import _flapack
+from .prolate import NumericalError, ProlateChannel, ZernikeCoeffs, solve_channel, tabulate
 from .roots import find_roots
 
 __all__ = ["QuadratureRule1D", "chebyshev_rule", "gaussian_rule"]

@@ -147,19 +147,40 @@ def h_apply_bessel_mp(mode, r):
     return total / cr ** (mp.mpf(p) / 2 + 1)
 
 
-def jacobi_mp(K, a, x):
-    """P_0^(a,0)(x), ..., P_{K-1}^(a,0)(x) by the three-term recurrence (DLMF 18.9.1-2).
+def jacobi_mp(K, a, x, b=0):
+    """P_0^(a,b)(x), ..., P_{K-1}^(a,b)(x) by the three-term recurrence (DLMF 18.9.1-2).
 
     At 40 digits, in O(K) operations where K calls of mpmath's hypergeometric
     ``jacobi`` take O(K^2) and more with the precision they add against
     cancellation; ``test_oracles`` checks the two against each other.
     """
-    vals = [mp.mpf(1), (a + 1) + (a + 2) * (x - 1) / 2][:K]
+    vals = [mp.mpf(1), (a + 1) + (a + b + 2) * (x - 1) / 2][:K]
     for n in range(1, K - 1):
-        t = 2 * n + a
-        vals.append(((t + 1) * (t * (t + 2) * x + a * a) * vals[n]
-                     - 2 * (n + a) * n * (t + 2) * vals[n - 1]) / (2 * (n + 1) * (n + a + 1) * t))
+        t = 2 * n + a + b
+        vals.append(((t + 1) * (t * (t + 2) * x + a * a - b * b) * vals[n]
+                     - 2 * (n + a) * (n + b) * (t + 2) * vals[n - 1]) / (2 * (n + 1) * (n + a + b + 1) * t))
     return vals
+
+
+def rbar_basis_mp(K, p, N, r):
+    """(B, dB/dr) of the normalized radial polynomials at one radius, as K-vectors of floats.
+
+    B_k = (-1)^k sqrt(2 (2k + a + 1)) P_k^(a,0)(1 - 2r^2) r^N with a = N + p/2, as
+    ``kernels.rbar_basis`` scales them, and its derivative in r from
+    d/dy P_k^(a,0)(y) = (k + a + 1)/2 P_{k-1}^(a+1,1)(y) (DLMF 18.9.15), each
+    rounded once from 40 digits.
+    """
+    a, r = N + mp.mpf(p) / 2, mp.mpf(r)
+    y = 1 - 2 * r * r
+    rn, drn = r**N, (N * r ** (N - 1) if N else 0)  # no 0^-1 at r = 0
+    P, Q = jacobi_mp(K, a, y), [mp.mpf(0)] + jacobi_mp(K - 1, a + 1, y, b=1)
+    B, D = [], []
+    for k in range(K):
+        scale = (-1) ** k * mp.sqrt(2 * (2 * k + a + 1))
+        dP = (k + a + 1) / 2 * Q[k]
+        B.append(float(scale * P[k] * rn))
+        D.append(float(scale * (dP * -4 * r * rn + P[k] * drn)))
+    return np.array(B), np.array(D)
 
 
 def phi_mp(mode, r):

@@ -25,11 +25,12 @@ _SAME_EXTENSION = """
 import sys
 if sys.argv[1] == "scipy-first":
     import scipy.linalg.lapack as lapack
-    from gpsf import prolate, quadrature
+    from gpsf import kernels, prolate, quadrature
 else:
-    from gpsf import prolate, quadrature
+    from gpsf import kernels, prolate, quadrature
     import scipy.linalg.lapack as lapack
-routines = {"dsterf": prolate, "dstebz": prolate, "dstein": prolate, "dgelsy": quadrature}
+routines = {"dsterf": prolate, "dstebz": prolate, "dstein": prolate, "dgelsy": quadrature,
+            "dgttrs": kernels}
 print([name for name, module in routines.items() if getattr(lapack, name) is not getattr(module, name)],
       sys.modules["scipy.linalg._flapack"] is lapack._flapack)
 """
@@ -69,9 +70,9 @@ def test_one_lapack_extension_instance(order):
 def test_missing_extension_names_its_path(monkeypatch, tmp_path):
     import scipy
 
-    from gpsf import prolate
+    from gpsf import kernels
 
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
     monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
     with pytest.raises(ImportError, match=re.escape(f"SciPy's LAPACK extension is missing: {tmp_path}")):
-        prolate._load_flapack()
+        kernels._load_flapack()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,7 @@ import gpsf
 from gpsf import kernels
 from gpsf.prolate import ProlateChannel, ZernikeCoeffs
 
-from oracles import phi_mp
+from oracles import phi_mp, rbar_basis_mp
 
 RADII = (0.0, 1e-6, 0.3, 0.77, 1.0)
 
@@ -109,7 +110,8 @@ class TestPathAgreement:
 
 def _row_loop_basis(alpha, N, K, r, deriv):
     """The basis row loop as it was before the in-place rewrite: one row at a time,
-    each with its own temporaries, scaled and multiplied by r^N row by row."""
+    each with its own temporaries, scaled and multiplied by r^N row by row.  P'_k adds
+    its terms as the banded solve does, (a1 P_{k-1} + ay P'_{k-1}) - b P'_{k-2}."""
     c0, a1, b, scale = kernels._build_tables(alpha, K)[1]
     x = r * r
     rn, drn = kernels._powers(N, r)
@@ -126,7 +128,7 @@ def _row_loop_basis(alpha, N, K, r, deriv):
             if k > 1:
                 ay = c0[k - 2] - 2.0 * a1[k - 2] * x
                 if deriv:
-                    dkm1, dk = dk, ay * dk - b[k - 2] * dkm1 + a1[k - 2] * pk
+                    dkm1, dk = dk, a1[k - 2] * pk + ay * dk - b[k - 2] * dkm1
                 pkm1, pk = pk, ay * pk - b[k - 2] * pkm1
             B[k] = scale[k] * pk * rn
             if deriv:
@@ -134,20 +136,151 @@ def _row_loop_basis(alpha, N, K, r, deriv):
     return B, D
 
 
+@pytest.fixture
+def route(monkeypatch):
+    """Force every build onto one route: ``route("solve")`` or ``route("loop")``."""
+    def force(name):
+        monkeypatch.setattr(kernels, "_SOLVE_COLUMNS", {"solve": 1 << 30, "loop": 0}[name])
+    return force
+
+
+def _builds(route, *args):
+    # (B, D, B alone) of each route, the banded solve's first
+    out = []
+    for name in ("solve", "loop"):
+        route(name)
+        out.append((*kernels.rbar_basis_with_deriv(*args), kernels.rbar_basis(*args)))
+    return out
+
+
 class TestBasisRowLoop:
-    """The in-place basis loop gives the row loop's bits, signed zeros included."""
+    """The banded solve and the in-place loop each give the row loop's bits, signed zeros included."""
 
     RADII = np.concatenate([[0.0, 1.0, 1e-6, 0.5], np.random.default_rng(7).uniform(0.0, 1.0, 29)])
 
     @pytest.mark.parametrize("K", [1, 2, 3, 37, 607])
     @pytest.mark.parametrize("p", [-1, 0, 1])
     @pytest.mark.parametrize("N", [0, 1, 5])
-    def test_bit_identical(self, K, p, N):
+    def test_bit_identical(self, route, K, p, N):
         alpha = N + p / 2.0
         B_ref, D_ref = _row_loop_basis(alpha, N, K, self.RADII, True)
-        B, D = kernels.rbar_basis_with_deriv(alpha, N, K, self.RADII)
-        assert B.tobytes() == B_ref.tobytes() and D.tobytes() == D_ref.tobytes()
-        assert kernels.rbar_basis(alpha, N, K, self.RADII).tobytes() == B_ref.tobytes()
+        for B, D, B_only in _builds(route, alpha, N, K, self.RADII):
+            assert B.tobytes() == B_ref.tobytes() and D.tobytes() == D_ref.tobytes()
+            assert B_only.tobytes() == B_ref.tobytes()
+            assert B.flags.c_contiguous and D.flags.c_contiguous
+
+
+class TestBasisRoutes:
+    """The banded solve and the row loop give one basis, bit for bit."""
+
+    RADII = TestBasisRowLoop.RADII
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 37, 607])
+    def test_batched_routes_bit_identical(self, route, K):
+        channels = TestBatchedColumns.CHANNELS
+        rng = np.random.default_rng(K)
+        r = np.vstack([np.concatenate([self.RADII[:4], rng.uniform(0.0, 1.0, 3)]) for _ in channels])
+        alpha, N = [n + p / 2.0 for p, n in channels], [n for _, n in channels]
+        solved, looped = _builds(route, alpha, N, K, r)
+        for a, b in zip(solved, looped):
+            assert a.shape == (K, r.size) and a.tobytes() == b.tobytes()
+
+    def test_route_follows_the_column_count(self, monkeypatch):
+        calls = []
+        real = kernels.dgttrs
+        monkeypatch.setattr(kernels, "dgttrs", lambda *a, **k: calls.append(len(a[1])) or real(*a, **k))
+        m = kernels._SOLVE_COLUMNS
+        r = np.linspace(0.0, 1.0, m)
+        kernels.rbar_basis_with_deriv(0.5, 1, 30, r)
+        kernels.rbar_basis(0.5, 1, 30, r)
+        kernels.rbar_basis([0.0, 1.0], [0, 1], 30, np.vstack([r[: m // 2], r[: m // 2]]))
+        assert calls == [30 * m] * 4
+        kernels.rbar_basis(0.5, 1, 30, np.linspace(0.0, 1.0, m + 1))  # one column too many
+        kernels.rbar_basis([0.0, 1.0], [0, 1], 30, np.vstack([r[: m // 2 + 1]] * 2))
+        kernels.rbar_basis_with_deriv(0.5, 1, 2, r)  # no degree above 1 to solve for
+        assert len(calls) == 4
+
+    def test_overflow_takes_the_loop(self, route):
+        # at alpha = 2000 the recurrence overflows near r = 0; in one banded system the
+        # inf would spread to the next columns through their zero couplings, so the
+        # build is redone by the loop, each column keeping its own values
+        r = np.array([0.0, 0.01, 0.9, 1.0, 0.02, 0.95])
+        with np.errstate(over="ignore", invalid="ignore"):
+            solved, looped = _builds(route, 2000.0, 2000, 400, r)
+        for a, b in zip(solved, looped):
+            assert a.tobytes() == b.tobytes()
+        finite = np.isfinite(solved[0]).all(axis=0)
+        assert finite.tolist() == [False, False, True, True, False, True]
+
+    def test_nan_radius_spoils_only_its_column(self, route):
+        r = np.array([0.2, np.nan, 0.7])
+        with np.errstate(invalid="ignore"):
+            solved, looped = _builds(route, 0.5, 1, 20, r)
+        for a, b in zip(solved, looped):
+            assert a.tobytes() == b.tobytes()
+            assert np.isnan(a[1:, 1]).all() and np.isfinite(a[:, [0, 2]]).all()
+
+    @pytest.mark.parametrize("name, bound", [("solve", 8.0), ("loop", 4.0)])
+    def test_build_memory(self, route, name, bound):
+        # tracemalloc peak in K x m float64 matrices at K = 4000, m = 128: the loop holds P,
+        # D and a temporary (3.0), the solve adds its band vectors (6.6); the loop peaked at
+        # 4.0 (16.5 MB) before the solve was added, and the solve may take twice that
+        K, r = 4000, np.linspace(0.0, 1.0, 128)
+        route(name)
+        kernels.rbar_basis_with_deriv(0.5, 0, K, r)  # the recurrence table, grown once
+        tracemalloc.start()
+        try:
+            kernels.rbar_basis_with_deriv(0.5, 0, K, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * K * r.size * 8, peak
+
+
+class TestBasisOracle:
+    """P and dP/dr of each route against the 40-digit basis of DLMF 18.9.15."""
+
+    RADII = TestBasisRowLoop.RADII[:12]
+
+    @pytest.mark.parametrize("K", [37, 607])
+    @pytest.mark.parametrize("p", [-1, 0, 1])
+    @pytest.mark.parametrize("N", [0, 1, 5])
+    def test_against_extended_precision(self, route, K, p, N):
+        # relative to the largest entry of each matrix; the row loop before the solve
+        # was added stayed within 7.9e-13 (P) and 3.8e-13 (dP/dr) here
+        ref = [rbar_basis_mp(K, p, N, r) for r in self.RADII]
+        B_ref, D_ref = (np.array(v).T for v in zip(*ref))
+        for B, D, _ in _builds(route, N + p / 2.0, N, K, self.RADII):
+            assert np.max(np.abs(B - B_ref)) <= 1e-12 * np.max(np.abs(B_ref))
+            assert np.max(np.abs(D - D_ref)) <= 1e-12 * np.max(np.abs(D_ref))
+
+
+class TestBasisRequest:
+    """A truncation or an order the recurrence cannot take is refused before any table."""
+
+    @pytest.mark.parametrize("K", [0, -3, 2.5])
+    def test_bad_truncation(self, monkeypatch, K):
+        monkeypatch.setattr(kernels, "_recurrence_tables", None)  # any lookup would fail otherwise
+        for build in (kernels.rbar_basis, kernels.rbar_basis_with_deriv):
+            with pytest.raises(ValueError, match=f"K >= 1, got K={K}$"):
+                build(0.0, 0, K, np.array([0.5]))
+            with pytest.raises(ValueError, match=f"K >= 1, got K={K}$"):
+                build([0.0], [0], K, np.array([[0.5]]))
+
+    @pytest.mark.parametrize("N", [-1, 0.5, math.nan, 2.000001])
+    def test_bad_order(self, monkeypatch, N):
+        monkeypatch.setattr(kernels, "_recurrence_tables", None)
+        for build in (kernels.rbar_basis, kernels.rbar_basis_with_deriv):
+            with pytest.raises(ValueError, match=f"nonnegative integer, got N={N}$"):
+                build(N + 0.5, N, 3, np.array([0.5]))
+            with pytest.raises(ValueError, match=f"nonnegative integer, got N={N}$"):
+                build([0.5, N + 0.5], [0, N], 3, np.array([[0.5], [0.5]]))
+
+    def test_whole_numbers_of_any_type(self):
+        r = np.array([0.3, 0.8])
+        ref = kernels.rbar_basis(2.0, 2, 5, r)
+        for K, N in ((np.int64(5), 2), (5.0, np.int32(2)), (5, 2.0)):
+            assert kernels.rbar_basis(2.0, N, K, r).tobytes() == ref.tobytes()
 
 
 class TestBatchedColumns:

@@ -287,6 +287,47 @@ class TestEvalPhi:
                 assert abs(beta * ph - oracles.h_apply_quad(mode, r)) <= 1e-10 * scale
 
 
+class TestEvalRadii:
+    """eval_phi and its derivative refuse a radius that is not finite before any build;
+    tabulate, which Newton trials call, leaves its radii to the caller."""
+
+    EVALS = (gpsf.eval_phi, gpsf.eval_phi_deriv, gpsf.eval_phi_and_deriv)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_refused(self, channels, monkeypatch, bad):
+        from gpsf import kernels
+
+        mode = channels(0, 20.0, 0, 3)[3]
+        monkeypatch.setattr(kernels, "_basis", None)  # a build would fail otherwise
+        for evaluate in self.EVALS:
+            for r in (bad, np.array([0.2, bad, 0.7])):
+                with pytest.raises(ValueError, match=f"radii must be finite, got {bad}$"):
+                    evaluate(mode, r)
+
+    def test_tabulate_takes_a_nan_radius(self, channels):
+        mode = channels(0, 20.0, 0, 3)[3]
+        with np.errstate(invalid="ignore"):
+            f, df = gpsf.prolate.tabulate(mode, np.array([0.2, np.nan, 0.7]), deriv=True)
+        for t in (f, df):
+            assert np.isnan(t[1]) and np.isfinite(t[[0, 2]]).all()
+
+    @pytest.mark.parametrize("columns", [0, 1 << 30])
+    def test_overflow_on_some_radii_raises(self, monkeypatch, columns):
+        # the loop and the banded solve alike: at (0, 4000, 2000) the basis overflows below
+        # r = 0.75 and stays finite above it
+        from gpsf import kernels
+
+        monkeypatch.setattr(kernels, "_SOLVE_COLUMNS", columns)
+        mode = gpsf.solve_channel(ProlateChannel(0, 4000.0, 2000), 2)[2]
+        r = np.array([0.3, 0.75, 0.7, 0.9, 1.0])
+        for evaluate in self.EVALS:
+            with pytest.raises(gpsf.NumericalError, match=r"N=2000, n=2\) are not finite .* overflows$"):
+                evaluate(mode, r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = gpsf.prolate.tabulate(mode, r)
+        assert np.isfinite(f).tolist() == [False, True, False, True, True]
+
+
 class TestEvalPhiDeriv:
     def test_finite_difference(self, channels):
         mode = channels(0, 20.0, 0, 4)[4]
