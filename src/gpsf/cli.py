@@ -199,7 +199,10 @@ def _cmd_spectrum_check(args) -> None:
 
 
 def _cmd_figure_data(args) -> None:
-    Ns = [int(v) for v in args.N.split(",") if v]
+    try:
+        Ns = [int(v) for v in args.N.split(",") if v]
+    except ValueError as exc:
+        raise ValueError(f"--N expects whole angular orders separated by commas, got {args.N!r}") from exc
     if not Ns:
         raise ValueError(f"--N needs at least one angular order, got {args.N!r}")
     if args.nmax < 0:

@@ -8,13 +8,14 @@ is a product with such a matrix.  Given alpha and N of C channels and a
 row of radii for each, one recurrence pass serves them all, each channel's
 block of columns with the bits of its own build.
 
-A narrow build, of at most ``_SOLVE_COLUMNS`` columns, runs the recurrence
+A narrow build, of 1 to ``_SOLVE_COLUMNS`` columns, runs the recurrence
 of each column as a banded lower-triangular system, all columns in one
 LAPACK ``dgttrs`` solve (and a second one for the derivative); a wider one
 runs it as a loop over the degrees.  Both do the same floating-point
 operations in the same order, so they give the same bits.
 """
 
+import functools
 import importlib.util
 import itertools
 import math
@@ -27,14 +28,12 @@ import numpy as np
 __all__ = ["rbar_basis", "rbar_basis_with_deriv", "phase_sum"]
 
 _PHASE_CHUNK = 1 << 16  # terms per chunk handed to math.fsum
-_TABLE_ALPHAS = 256  # recurrence tables kept, one per alpha, least recently used dropped first
 # Columns (C*m) up to which a build solves for its degrees instead of looping over them.
 # One BLAS thread, 2-vCPU Xeon VM, K from 40 to 607: the solve costs about 16 ns per entry
 # and the loop about 0.6 us per numpy call, 8 calls a degree with the derivative and 3
 # without, so the two break even near 112 columns with the derivative and 80 without; at
 # 64 columns the solve takes 0.61-0.69 of the loop's time with it and 0.72-0.94 without.
 _SOLVE_COLUMNS = 64
-_tables: dict[float, tuple] = {}
 
 
 def _load_flapack():
@@ -76,25 +75,19 @@ def _build_tables(alpha, K):
     b = 2.0 * (k + alpha) * k * (t + 2.0) / den
     scale = np.sqrt(2.0 * (2.0 * np.arange(K, dtype=np.float64) + alpha + 1.0))
     scale[1::2] *= -1.0
-    arrays = (c0, a1, b, scale)
-    return arrays, tuple(a.tolist() for a in arrays)
+    return c0, a1, b, scale
 
 
-def _recurrence_tables(alpha, K):
-    """(arrays, lists) of (c0, a1, b, scale) at alpha, for K or more rows.
+@functools.lru_cache(maxsize=256)
+def _recurrence_tables(alpha, rows):
+    """(c0, a1, b, scale) at alpha: ``rows`` entries of scale, rows - 2 of the others.
 
-    One table is kept per alpha and grown, at least twofold, when a larger K is
-    asked for; a caller reads the first K - 2 entries of c0, a1, b and the
-    first K of scale, as float64 arrays or as lists of floats.
+    The 256 most recently used (alpha, rows) are kept.  The basis asks for the
+    power of two at or above its K, at least 64, and reads the first K - 2
+    entries of c0, a1, b and the first K of scale.  The arrays are shared
+    between callers, who must not write to them.
     """
-    tables = _tables.pop(alpha, None)
-    rows = len(tables[0][3]) if tables else 0  # the length of scale
-    if rows < K:
-        tables = _build_tables(alpha, max(K, 2 * rows))
-    _tables[alpha] = tables  # reinserted last: the dict runs from least to most recently used
-    if len(_tables) > _TABLE_ALPHAS:
-        del _tables[next(iter(_tables))]
-    return tables
+    return _build_tables(alpha, rows)
 
 
 def _powers(N, r):
@@ -128,25 +121,26 @@ def _basis(alpha, N, K, r, deriv):
     if bad:
         raise ValueError(f"the radial order N must be a nonnegative integer, got N={bad[0]}")
     r = np.ascontiguousarray(r, dtype=np.float64)
+    rows = max(64, 1 << (K - 1).bit_length())  # the table's length class
+    cut = (max(K - 2, 0),) * 3 + (K,)  # the rows of c0, a1, b and scale that K reads
     if np.ndim(alpha) == 0:
-        arrays, (_, a1s, bs, _) = _recurrence_tables(alpha, K)  # per-row factors as floats
-        c0, a1, b = (a[: max(K - 2, 0), None] for a in arrays[:3])  # whole-table products
-        scale = arrays[3][:K, None]
+        c0, a1, b, scale = (t[:n, None] for t, n in zip(_recurrence_tables(alpha, rows), cut))
         rn, drn = _powers(N, r)
-    else:  # (rows, C, 1) tables, a column per channel, broadcast over the channel's radii
+    else:  # tables of shape (n, C, 1), a column per channel, broadcast over the channel's radii
         alpha = np.asarray(alpha, dtype=np.float64)[:, None]
         if np.shape(N) != (len(alpha),) or r.shape[:-1] != (len(alpha),):
             raise ValueError(f"{len(alpha)} alphas and {np.size(N)} orders for radii of shape {r.shape}")
-        tables = [_recurrence_tables(a, K)[0] for a in alpha[:, 0].tolist()]
+        tables = [_recurrence_tables(a, rows) for a in alpha[:, 0].tolist()]
         c0, a1, b, scale = (np.stack([t[i][:n] for t in tables], axis=1)[..., None]
-                            for i, n in enumerate((max(K - 2, 0),) * 3 + (K,)))
-        a1s, bs = a1, b
+                            for i, n in enumerate(cut))
         rn, drn = (np.array(v) for v in zip(*map(_powers, np.asarray(N).tolist(), r)))
     x = r * r
+    ay = c0 - (2.0 * a1) * x  # the factor of P_{k-1} in row k, ay[k - 2]
     P1 = (alpha + 1.0) - (alpha + 2.0) * x
     D1 = (alpha + 2.0) / 2.0
-    solved = _solved_rows(P1, D1, c0, a1, b, x, deriv) if K > 2 and r.size <= _SOLVE_COLUMNS else None
-    P, D = solved or _row_loop(P1, D1, c0, a1, a1s, bs, x, K, deriv)
+    solved = _solved_rows(P1, D1, ay, a1, b, deriv) if K > 2 and 0 < r.size <= _SOLVE_COLUMNS else None
+    P, D = solved or _row_loop(P1, D1, ay, a1, b, K, deriv)
+    del ay  # a K x m factor, freed before the scaling below makes its temporaries
     if deriv:
         # d/dr [P(y(r)) r^N] = P'(y) (-4r) r^N + P(y) N r^(N-1)
         D *= -4.0 * r
@@ -159,13 +153,14 @@ def _basis(alpha, N, K, r, deriv):
     return np.ascontiguousarray(P.reshape(K, r.size)), D
 
 
-def _row_loop(P1, D1, c0, a1, a1s, bs, x, K, deriv):
+def _row_loop(P1, D1, ay, a1, b, K, deriv):
     # rows of P_k(y(r)) and, with deriv, P_k'(y(r)), written in place a degree at a time:
-    # P_k = ay P_{k-1} - b P_{k-2} and P'_k = (a1 P_{k-1} + ay P'_{k-1}) - b P'_{k-2},
-    # with ay[k - 2] = c0 - 2 a1 x the factor of row k
-    P = np.empty((K,) + x.shape)
+    # P_k = ay P_{k-1} - b P_{k-2} and P'_k = (a1 P_{k-1} + ay P'_{k-1}) - b P'_{k-2}
+    if a1.ndim == 2:  # one channel: numpy multiplies by a float faster than by a 1-entry array
+        a1, b = a1[:, 0].tolist(), b[:, 0].tolist()
+    P = np.empty((K,) + P1.shape)
     D = np.empty_like(P) if deriv else None
-    tmp = np.empty_like(x)
+    tmp = np.empty_like(P1)
     P[0] = 1.0
     if deriv:
         D[0] = 0.0
@@ -173,19 +168,17 @@ def _row_loop(P1, D1, c0, a1, a1s, bs, x, K, deriv):
         P[1] = P1
         if deriv:
             D[1] = D1
-        ay = (2.0 * a1) * x
-        np.subtract(c0, ay, out=ay)
         for k in range(2, K):
             if deriv:
-                np.multiply(a1s[k - 2], P[k - 1], out=D[k])
+                np.multiply(a1[k - 2], P[k - 1], out=D[k])
                 D[k] += np.multiply(ay[k - 2], D[k - 1], out=tmp)
-                D[k] -= np.multiply(bs[k - 2], D[k - 2], out=tmp)
+                D[k] -= np.multiply(b[k - 2], D[k - 2], out=tmp)
             np.multiply(ay[k - 2], P[k - 1], out=P[k])
-            P[k] -= np.multiply(bs[k - 2], P[k - 2], out=tmp)
+            P[k] -= np.multiply(b[k - 2], P[k - 2], out=tmp)
     return P, D
 
 
-def _solved_rows(P1, D1, c0, a1, b, x, deriv):
+def _solved_rows(P1, D1, ay, a1, b, deriv):
     # (P, D) with _row_loop's bits, each from one dgttrs solve, or None where a value
     # overflows.  The unknowns are the entries g = j K + k (degree k of column j) stored
     # last first, so that dgttrs's back substitution x_g = (B_g - DU_g x_{g-1}) - DU2_g x_{g-2}
@@ -194,20 +187,18 @@ def _solved_rows(P1, D1, c0, a1, b, x, deriv):
     # uncouple the columns, it is the loop's (B + ay x_{k-1}) - b x_{k-2} term for term.
     # The factors are the identity (D = 1, DL = 0, no pivoting), so the L pass that runs
     # first leaves the finite right-hand side as it is.
-    K = len(c0) + 2
-    n = K * x.size
+    K = len(ay) + 2
+    n = K * P1.size
 
     def band(row0, row1):
         # a vector in the solve's order and the view of its degrees 2 to K - 1
         vec = np.empty(n)
-        rows = _degree_rows(vec, x.shape)
+        rows = _degree_rows(vec, P1.shape)
         rows[0], rows[1] = row0, row1
         return vec, rows[2:]
 
-    du, rows = band(0.0, 0.0)  # -ay, with ay formed as the loop forms it
-    np.multiply(2.0 * a1, x, out=rows)
-    np.subtract(c0, rows, out=rows)
-    np.negative(rows, out=rows)
+    du, rows = band(0.0, 0.0)
+    np.negative(ay, out=rows)
     du2, rows = band(0.0, 0.0)
     rows[...] = b
     dl, d, ipiv = np.zeros(n - 1), np.ones(n), np.arange(1, n + 1, dtype=np.int32)
@@ -217,7 +208,7 @@ def _solved_rows(P1, D1, c0, a1, b, x, deriv):
         if info != 0:
             raise RuntimeError(f"dgttrs refused its arguments: info={info}")
         # an overflow would spread to the next column through the zero couplings (0 * inf)
-        return _degree_rows(sol, x.shape) if np.isfinite(sol).all() else None
+        return _degree_rows(sol, P1.shape) if np.isfinite(sol).all() else None
 
     rhs, rows = band(1.0, P1)
     rows[...] = 0.0

@@ -422,6 +422,16 @@ class TestExitCodes:
             assert code == 2 and out == ""
             assert err == "gpsf: invalid request: n must be nonnegative, got n=-1\n"
 
+    @pytest.mark.parametrize("orders", ["1.5", "a", "0,x"])
+    def test_order_list_that_is_not_whole_numbers(self, capsys, monkeypatch, orders):
+        # refused by the flag's name, before any chain
+        monkeypatch.setattr(cli, "beta_chain", lambda *a, **k: pytest.fail("a chain started"))
+        code, out, err = run_cli(["figure-data", "--p", "0", "--c", "20", "--N", orders, "--nmax", "3"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err == ("gpsf: invalid request: --N expects whole angular orders separated by commas, "
+                       f"got {orders!r}\n")
+
     @pytest.mark.parametrize("radii", [",", ",,"])
     def test_empty_radius_list_refused(self, capsys, monkeypatch, radii):
         solves = []

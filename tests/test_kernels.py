@@ -112,7 +112,7 @@ def _row_loop_basis(alpha, N, K, r, deriv):
     """The basis row loop as it was before the in-place rewrite: one row at a time,
     each with its own temporaries, scaled and multiplied by r^N row by row.  P'_k adds
     its terms as the banded solve does, (a1 P_{k-1} + ay P'_{k-1}) - b P'_{k-2}."""
-    c0, a1, b, scale = kernels._build_tables(alpha, K)[1]
+    c0, a1, b, scale = (t.tolist() for t in kernels._build_tables(alpha, K))
     x = r * r
     rn, drn = kernels._powers(N, r)
     m4r = -4.0 * r
@@ -237,6 +237,19 @@ class TestBasisRoutes:
         assert peak <= bound * K * r.size * 8, peak
 
 
+class TestEmptyRadii:
+    """Zero radii give a K-by-0 table on either route, scalar and batched, with and without P'."""
+
+    @pytest.mark.parametrize("name", ["solve", "loop"])
+    @pytest.mark.parametrize("K", [1, 3, 10])
+    def test_empty_table(self, route, name, K):
+        route(name)
+        for alpha, N, r in ((0.0, 0, np.array([])), ([0.0, 1.5], [0, 1], np.empty((2, 0)))):
+            B = kernels.rbar_basis(alpha, N, K, r)
+            B_d, D = kernels.rbar_basis_with_deriv(alpha, N, K, r)
+            assert B.shape == B_d.shape == D.shape == (K, 0)
+
+
 class TestBasisOracle:
     """P and dP/dr of each route against the 40-digit basis of DLMF 18.9.15."""
 
@@ -340,52 +353,41 @@ class TestBatchedColumns:
 
 
 class TestRecurrenceTables:
-    """One table per alpha, grown on demand, whose prefixes serve every shorter K."""
+    """One cached table per (alpha, length class), whose prefixes serve every shorter K."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_tables", {})
+        kernels._recurrence_tables.cache_clear()
         calls = []
         real = kernels._build_tables
+        monkeypatch.setattr(kernels, "_build_tables",
+                            lambda alpha, K: calls.append((alpha, K)) or real(alpha, K))
+        yield calls
+        kernels._recurrence_tables.cache_clear()  # no table of the counted builds outlives the test
 
-        def counted(alpha, K):
-            calls.append((alpha, K))
-            return real(alpha, K)
+    def test_one_build_per_length_class(self, builds):
+        r = np.array([0.2, 0.7])
+        for K in (1, 2, 3, 40, 64, 65, 100, 128, 5, 129):
+            kernels.rbar_basis(0.5, 0, K, r)
+        kernels.rbar_basis_with_deriv([0.5, 1.5, 0.5], [0, 1, 0], 90, np.vstack([r] * 3))
+        assert builds == [(0.5, 64), (0.5, 128), (0.5, 256), (1.5, 128)]
 
-        monkeypatch.setattr(kernels, "_build_tables", counted)
-        return calls
+    def test_longer_table_starts_with_the_shorter(self, builds):
+        short = kernels._recurrence_tables(2.5, 64)
+        longer = kernels._recurrence_tables(2.5, 1024)
+        for a, b, n in zip(short, longer, (62, 62, 62, 64)):
+            assert len(a) == n and a.tobytes() == b[:n].tobytes()
 
-    @staticmethod
-    def _prefix(tables, K):
-        arrays, lists = tables
-        cut = (K - 2, K - 2, K - 2, K)
-        return [a[:n].tobytes() for a, n in zip(arrays, cut)], [s[:n] for s, n in zip(lists, cut)]
+    def test_bound(self):
+        assert kernels._recurrence_tables.cache_info().maxsize == 256
 
-    def test_longer_request_is_prefix_consistent(self, builds):
-        short = self._prefix(kernels._recurrence_tables(2.5, 12), 12)
-        longer = kernels._recurrence_tables(2.5, 300)
-        assert builds == [(2.5, 12), (2.5, 300)]
-        assert self._prefix(longer, 12) == short
-        assert self._prefix(longer, 300) == self._prefix(kernels._build_tables(2.5, 300), 300)
-
-    def test_shorter_request_builds_nothing(self, builds):
-        first = kernels._recurrence_tables(0.5, 40)
-        for K in (1, 2, 3, 39, 40):
-            assert kernels._recurrence_tables(0.5, K) is first
-        assert builds == [(0.5, 40)]
-
-    def test_growth_is_at_least_twofold(self, builds):
-        kernels._recurrence_tables(1.0, 10)
-        for K in range(11, 21):
-            kernels._recurrence_tables(1.0, K)
-        assert builds == [(1.0, 10), (1.0, 20)]
-
-    def test_least_recently_used_alpha_is_dropped(self, builds):
-        alphas = [float(a) for a in range(kernels._TABLE_ALPHAS + 1)]
-        for a in alphas:
-            kernels._recurrence_tables(a, 5)
-        kernels._recurrence_tables(alphas[1], 5)  # used again: the oldest is now alphas[2]
-        assert len(kernels._tables) == kernels._TABLE_ALPHAS
-        assert alphas[0] not in kernels._tables and alphas[1] in kernels._tables
-        kernels._recurrence_tables(-0.5, 5)
-        assert alphas[2] not in kernels._tables and alphas[1] in kernels._tables
+    @pytest.mark.parametrize("K", [3, 37, 607])
+    def test_one_channel_loop_equals_batched_build(self, K):
+        # a one-channel build wider than the solve takes the loop with its factors as floats;
+        # the batched build of that one channel takes them as arrays
+        r = np.random.default_rng(K).uniform(0.0, 1.0, 2 * kernels._SOLVE_COLUMNS)
+        r[:2] = 0.0, 1.0
+        one = (*kernels.rbar_basis_with_deriv(2.5, 2, K, r), kernels.rbar_basis(2.5, 2, K, r))
+        batched = (*kernels.rbar_basis_with_deriv([2.5], [2], K, r[None, :]),
+                   kernels.rbar_basis([2.5], [2], K, r[None, :]))
+        assert [a.tobytes() for a in one] == [b.tobytes() for b in batched]

@@ -311,6 +311,15 @@ class TestEvalRadii:
         for t in (f, df):
             assert np.isnan(t[1]) and np.isfinite(t[[0, 2]]).all()
 
+    def test_no_radii(self, channels):
+        modes = channels(0, 20.0, 0, 5)[:6]
+        assert gpsf.prolate.tabulate(modes, []).shape == (6, 0)
+        assert [t.shape for t in gpsf.prolate.tabulate(modes, [], deriv=True)] == [(6, 0)] * 2
+        tables = gpsf.prolate.tabulate_channels([modes, modes[:2]], [])
+        assert [t.shape for t in tables] == [(6, 0), (2, 0)]
+        assert gpsf.eval_phi(modes[0], np.array([])).shape == (0,)
+        assert [t.shape for t in gpsf.eval_phi_and_deriv(modes[0], np.array([]))] == [(0,)] * 2
+
     @pytest.mark.parametrize("columns", [0, 1 << 30])
     def test_overflow_on_some_radii_raises(self, monkeypatch, columns):
         # the loop and the banded solve alike: at (0, 4000, 2000) the basis overflows below
