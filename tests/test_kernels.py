@@ -372,6 +372,22 @@ class TestRecurrenceTables:
         kernels.rbar_basis_with_deriv([0.5, 1.5, 0.5], [0, 1, 0], 90, np.vstack([r] * 3))
         assert builds == [(0.5, 64), (0.5, 128), (0.5, 256), (1.5, 128)]
 
+    def test_shorter_request_builds_nothing(self, builds):
+        r = np.array([0.2, 0.7])
+        kernels.rbar_basis(0.5, 0, 40, r)
+        first = kernels._recurrence_tables(0.5, 64)
+        for K in (1, 2, 3, 39, 40, 64):
+            kernels.rbar_basis(0.5, 0, K, r)
+            assert kernels._recurrence_tables(0.5, 64) is first
+        assert builds == [(0.5, 64)]
+
+    def test_growth_is_at_least_twofold(self, builds):
+        r = np.array([0.2, 0.7])
+        for K in range(10, 301):
+            kernels.rbar_basis(1.0, 0, K, r)
+        assert builds == [(1.0, 64), (1.0, 128), (1.0, 256), (1.0, 512)]
+        assert all(b[1] >= 2 * a[1] for a, b in zip(builds, builds[1:]))
+
     def test_longer_table_starts_with_the_shorter(self, builds):
         short = kernels._recurrence_tables(2.5, 64)
         longer = kernels._recurrence_tables(2.5, 1024)
