@@ -28,6 +28,7 @@ from .interp import (
     synthesize,
 )
 from .prolate import (
+    ChannelSolve,
     NumericalError,
     ProlateChannel,
     RadialModeId,

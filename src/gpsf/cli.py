@@ -97,11 +97,9 @@ def _cmd_eval(args) -> None:
 def _cmd_eigs(args) -> None:
     ch = ProlateChannel(args.p, args.c, args.N)
     modes = solve_channel(ch, args.nmax)
-    triples = beta_chain(ch, args.nmax, modes=modes)
-    rows = [
-        (t.mode.n, modes[t.mode.n].chi, t.beta, t.lam.real, t.lam.imag, abs(t.lam), t.mu)
-        for t in triples
-    ]
+    chis = modes.chis.tolist()
+    rows = [(t.mode.n, chis[t.mode.n], t.beta, t.lam.real, t.lam.imag, abs(t.lam), t.mu)
+            for t in beta_chain(ch, args.nmax, modes=modes)]
     header = ["n", "chi", "beta", "lambda_re", "lambda_im", "abs_lambda", "mu"]
     _write(args, header, rows,
            [{"p": args.p, "c": args.c, "N": args.N, **dict(zip(header, r))} for r in rows])

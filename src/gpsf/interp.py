@@ -22,7 +22,7 @@ from .ballquad import (
     surface_harmonics,
     truncation_bound,
 )
-from .prolate import ProlateChannel, ZernikeCoeffs, solve_channel, tabulate_channels
+from .prolate import ChannelSolve, ProlateChannel, solve_channel, tabulate_channels
 from .quadrature import gaussian_rule
 from .spectrum import EigenTriple, beta_chain, harmonic_count
 
@@ -48,10 +48,10 @@ class ChannelCache:
         self.p = p
         self.c = c
         self.nmax = nmax
-        self._modes: dict[int, list[ZernikeCoeffs]] = {}
+        self._modes: dict[int, ChannelSolve] = {}
         self._triples: dict[int, list[EigenTriple]] = {}
 
-    def modes(self, N: int) -> list[ZernikeCoeffs]:
+    def modes(self, N: int) -> ChannelSolve:
         if N not in self._modes:
             self._modes[N] = solve_channel(ProlateChannel(self.p, self.c, N), self.nmax)
         return self._modes[N]
@@ -59,7 +59,7 @@ class ChannelCache:
     def triples(self, N: int) -> list[EigenTriple]:
         if N not in self._triples:
             modes = self.modes(N)
-            self._triples[N] = beta_chain(modes[0].channel, self.nmax, modes=modes)
+            self._triples[N] = beta_chain(modes.channel, self.nmax, modes=modes)
         return self._triples[N]
 
 
@@ -285,7 +285,7 @@ def _term_sums(p, terms, cache, r, xhat):
         kept.setdefault(N, set()).add(n)
     ns = {N: sorted(kept[N]) for N in kept}
     row = {key: i for i, key in enumerate((N, n) for N in ns for n in ns[N])}
-    phi = np.vstack(list(tabulate_channels([[cache.modes(N)[n] for n in ns[N]] for N in ns], r)))
+    phi = np.vstack(list(tabulate_channels([cache.modes(N)[ns[N]] for N in ns], r)))
     harmonics = [surface_harmonics(p, N, xhat) for N in ns]
     first = dict(zip(ns, np.cumsum([0] + [len(h) for h in harmonics]).tolist()))
     coeffs = np.array([coeff for _, coeff in terms], dtype=complex)

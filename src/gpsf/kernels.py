@@ -17,7 +17,6 @@ operations in the same order, so they give the same bits.
 
 import functools
 import importlib.util
-import itertools
 import math
 import os
 import sys
@@ -27,7 +26,6 @@ import numpy as np
 
 __all__ = ["rbar_basis", "rbar_basis_with_deriv", "phase_sum"]
 
-_PHASE_CHUNK = 1 << 16  # terms per chunk handed to math.fsum
 # Columns (C*m) up to which a build solves for its degrees instead of looping over them.
 # One BLAS thread, 2-vCPU Xeon VM, K from 40 to 607: the solve costs about 16 ns per entry
 # and the loop about 0.6 us per numpy call, 8 calls a degree with the derivative and 3
@@ -227,19 +225,8 @@ def _degree_rows(vec, shape):
     return vec[::-1].reshape(shape + (-1,)).transpose((len(shape),) + tuple(range(len(shape))))
 
 
-def _fsum_terms(weights, phases, fn):
-    # exactly rounded sum of weights * fn(phases), chunked to bound memory
-    n = weights.shape[0]
-    return math.fsum(
-        itertools.chain.from_iterable(
-            memoryview(weights[i : i + _PHASE_CHUNK] * fn(phases[i : i + _PHASE_CHUNK]))
-            for i in range(0, n, _PHASE_CHUNK)
-        )
-    )
-
-
 def phase_sum(weights, phases):
     """(sum of w cos(ph), sum of w sin(ph)), each exactly rounded by math.fsum."""
     w = np.ravel(np.asarray(weights, dtype=np.float64))
     ph = np.ravel(np.asarray(phases, dtype=np.float64))
-    return _fsum_terms(w, ph, np.cos), _fsum_terms(w, ph, np.sin)
+    return math.fsum(memoryview(w * np.cos(ph))), math.fsum(memoryview(w * np.sin(ph)))

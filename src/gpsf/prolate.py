@@ -26,6 +26,7 @@ __all__ = [
     "ProlateChannel",
     "RadialModeId",
     "ZernikeCoeffs",
+    "ChannelSolve",
     "NumericalError",
     "tridiag_matrix",
     "choose_truncation",
@@ -140,23 +141,44 @@ class ZernikeCoeffs:
 
     @functools.cached_property
     def support(self) -> int:
-        """Number of leading coefficients up to the last one above 1e-20 in magnitude.
-
-        The vector has unit norm, so the cut lies 1e5 below the 1e-15 tail
-        that :func:`solve_channel` accepts; the whole vector when none is above it.
-        """
-        above = np.flatnonzero(np.abs(self.coeffs) > _SUPPORT_CUT)
-        return int(above[-1]) + 1 if len(above) else len(self.coeffs)
+        """Number of leading coefficients up to the last above 1e-20 in magnitude, or all of them."""
+        return _support(self.coeffs)
 
 
-def _diag_and_super(channel: ProlateChannel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # diagonal b and superdiagonal c of the operator matrix at the given rows
-    al, c2, k = channel.alpha, channel.c * channel.c, rows.astype(float)
-    t = 2.0 * k + al
-    shift = 0.0 if al == 0.0 else c2 * al * al / (2.0 * t * (t + 2.0))
-    b = shift + 0.5 * c2 + (t + 0.5) * (t + 1.5)  # chi at c = 0: (t + 1/2)(t + 3/2)
-    cx = c2 * (k + 1.0 + al) * (k + 1.0) / ((t + 2.0) * np.sqrt(t + 3.0) * np.sqrt(t + 1.0))
-    return b, cx
+@dataclass(frozen=True, eq=False)
+class ChannelSolve:
+    """Solved modes of one channel: mode indices, eigenvalues and one coefficient row each.
+
+    Row i holds mode ``ns[i]``, its eigenvalue ``chis[i]`` and its vector ``coeffs[i]``.
+    ``solve[i]`` is that row's ZernikeCoeffs, a view of the row, and iteration goes
+    through the rows; a slice or a list of row indices gives the ChannelSolve of those rows.
+    """
+
+    channel: ProlateChannel
+    ns: np.ndarray
+    chis: np.ndarray
+    coeffs: np.ndarray = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.ns)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return ZernikeCoeffs(self.channel, int(self.ns[i]), float(self.chis[i]), self.coeffs[i])
+        return ChannelSolve(self.channel, self.ns[i], self.chis[i], self.coeffs[i])
+
+    @functools.cached_property
+    def support(self) -> int:
+        """Number of leading columns that evaluation reads: the widest support among the rows."""
+        return _support(self.coeffs)
+
+
+def _support(A: np.ndarray) -> int:
+    # the leading entries of a unit vector, or columns of rows of them, that evaluation reads: up to
+    # the last above 1e-20 in magnitude, 1e5 below the 1e-15 tail a solve accepts; all if a row has none
+    above = np.abs(np.atleast_2d(A)) > _SUPPORT_CUT
+    rows = above.any(axis=1)
+    return int(np.flatnonzero(above.any(axis=0))[-1]) + 1 if rows.size and rows.all() else A.shape[-1]
 
 
 def tridiag_matrix(channel: ProlateChannel, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,8 +191,11 @@ def tridiag_matrix(channel: ProlateChannel, K: int) -> tuple[np.ndarray, np.ndar
     vectors of Phi_{N,n}.  A non-finite entry (at a huge c) raises
     ``ValueError``.
     """
-    b, cx = _diag_and_super(channel, np.arange(K))
-    offdiag = cx[:-1]
+    al, c2, k = channel.alpha, channel.c * channel.c, np.arange(K, dtype=float)
+    t = 2.0 * k + al
+    shift = 0.0 if al == 0.0 else c2 * al * al / (2.0 * t * (t + 2.0))
+    b = shift + 0.5 * c2 + (t + 0.5) * (t + 1.5)  # chi at c = 0: (t + 1/2)(t + 3/2)
+    offdiag = (c2 * (k + 1.0 + al) * (k + 1.0) / ((t + 2.0) * np.sqrt(t + 3.0) * np.sqrt(t + 1.0)))[:-1]
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(offdiag))):
         raise ValueError("matrix entries must be finite")
     return b, offdiag
@@ -247,12 +272,12 @@ def _check_info(routine: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"{routine} returned info={info}")
 
 
-def solve_channel(channel: ProlateChannel, nmax: int) -> list[ZernikeCoeffs]:
+def solve_channel(channel: ProlateChannel, nmax: int) -> ChannelSolve:
     """Solve the truncated eigenproblem for modes 0..nmax of a channel.
 
-    Returns the modes sorted by ascending eigenvalue chi (strict increase
-    is asserted; the spectrum is simple).  Each coefficient vector is
-    normalized and sign-fixed (see :class:`ZernikeCoeffs`).  The last
+    Returns one :class:`ChannelSolve`, row n for mode n in ascending order of
+    chi (strict increase is asserted; the spectrum is simple); each coefficient
+    row is normalized and sign-fixed (see :class:`ZernikeCoeffs`).  The last
     coefficient of every mode must fall below 1e-15; while it does not, the
     truncation K of :func:`choose_truncation` grows by 20 and the channel is solved again.
 
@@ -291,44 +316,31 @@ def solve_channel(channel: ProlateChannel, nmax: int) -> list[ZernikeCoeffs]:
     V = vecs.T
     A = V / np.sqrt(V[:, None, :] @ V[:, :, None])[:, 0]
     A[(A[:, None, :] @ _phi_one_weights(channel, K)[:, None])[:, 0, 0] < 0.0] *= -1.0
-    return [ZernikeCoeffs(channel, n, float(chis[n]), A[n]) for n in range(nmax + 1)]
+    return ChannelSolve(channel, np.arange(nmax + 1), chis, A)
 
 
 def _as_points(r) -> np.ndarray:
     return np.atleast_1d(np.ascontiguousarray(r, dtype=float))
 
 
-def _stacked(modes):
-    # (channel, K, A): the modes' one channel, their widest support and the
-    # coefficient vector, or the stacked vectors, cut to it
-    if isinstance(modes, ZernikeCoeffs):
-        return modes.channel, modes.support, modes.coeffs[: modes.support]
-    if len(modes) == 0:
+def _cut(modes):
+    # (channel, K, A): the channel, the support and the coefficient vector or rows cut to it
+    if len(modes.coeffs) == 0:
         raise ValueError("no modes to tabulate")
-    ch = modes[0].channel
-    # one solve's modes share one channel object, so identity settles most of them
-    if any(m.channel is not ch and m.channel != ch for m in modes):
-        raise ValueError("tabulated modes must share one channel")
-    A = np.array([m.coeffs for m in modes])
-    # the widest support from one comparison: the last column with an entry above the cut,
-    # or every column when a row has none (as ZernikeCoeffs.support takes it)
-    above = np.abs(A) > _SUPPORT_CUT
-    K = int(np.flatnonzero(above.any(axis=0))[-1]) + 1 if above.any(axis=1).all() else A.shape[1]
-    return ch, K, np.ascontiguousarray(A[:, :K])
+    return modes.channel, modes.support, np.ascontiguousarray(modes.coeffs[..., : modes.support])
 
 
 def tabulate(modes, r, deriv=False):
     """Phi of modes of one channel at radii in [0, 1], from one basis build.
 
-    ``modes`` is one ZernikeCoeffs or a sequence of modes of one channel
-    whose coefficient vectors have one length, as one solve's modes do; the
-    table is A @ B, with A the coefficient vector or the stacked vectors
-    (one row per mode) and B the radial basis at ``r``.  A and B stop at the
-    largest ``support`` among the modes.  With ``deriv`` it is the pair
+    ``modes`` is one ZernikeCoeffs, whose table is a vector, or a
+    :class:`ChannelSolve`, whose table has one row per mode.  The table is
+    A @ B, with A the coefficient vector or matrix and B the radial basis at
+    ``r``; both stop at ``modes.support``.  With ``deriv`` it is the pair
     (A @ B, A @ dB/dr).  Several channels at the same radii are tabulated
     together by :func:`tabulate_channels`.
     """
-    ch, K, A = _stacked(modes)
+    ch, K, A = _cut(modes)
     r = _as_points(r)
     if deriv:
         B, D = kernels.rbar_basis_with_deriv(ch.alpha, ch.N, K, r)
@@ -336,20 +348,21 @@ def tabulate(modes, r, deriv=False):
     return A @ kernels.rbar_basis(ch.alpha, ch.N, K, r)
 
 
-def tabulate_channels(mode_lists, r):
+def tabulate_channels(solves, r):
     """Phi of several channels' modes at the same radii: an iterator over one table per channel.
 
-    Table i is ``tabulate(mode_lists[i], r)`` bit for bit.  One basis build
+    Each entry of ``solves`` is a ChannelSolve or one ZernikeCoeffs, and
+    table i is ``tabulate(solves[i], r)`` bit for bit.  One basis build
     serves a block of consecutive channels, each channel taking the radii as
     its row.  A block holds at least one channel, and more while its widest
     support times its columns stays within 32768 entries; the blocks are
     built as the tables are read, so that a large request holds one block's
     basis, coefficients and tables at a time.
     """
-    if len(mode_lists) == 0:
+    if len(solves) == 0:
         raise ValueError("no channels to tabulate")
     r = _as_points(r)
-    blocks = _channel_blocks(mode_lists, len(r))
+    blocks = _channel_blocks(solves, len(r))
     return itertools.chain.from_iterable(_block_tables(block, K, r) for block, K in blocks)
 
 
@@ -363,12 +376,12 @@ def _block_tables(block, K, r):
     return [A @ np.ascontiguousarray(B[:k, j * m : (j + 1) * m]) for j, (_, k, A) in enumerate(block)]
 
 
-def _channel_blocks(mode_lists, m):
+def _channel_blocks(solves, m):
     # (block, K): the stacked modes of consecutive channels and their widest support, a block
     # at a time, so that only one block's coefficients are held
     block, K = [], 0
-    for modes in mode_lists:
-        stack = _stacked(modes)
+    for modes in solves:
+        stack = _cut(modes)
         if block and max(K, stack[1]) * (len(block) + 1) * m > _BLOCK_ENTRIES:
             yield block, K
             block, K = [], 0

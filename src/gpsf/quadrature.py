@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _flapack
-from .prolate import NumericalError, ProlateChannel, ZernikeCoeffs, solve_channel, tabulate
+from .prolate import ChannelSolve, NumericalError, ProlateChannel, solve_channel, tabulate
 from .roots import find_roots
 
 __all__ = ["QuadratureRule1D", "chebyshev_rule", "gaussian_rule"]
@@ -51,9 +51,9 @@ class QuadratureRule1D:
         return float(self.weights @ values)
 
 
-def _mode_moments(modes: list[ZernikeCoeffs], p: int) -> np.ndarray:
+def _mode_moments(modes: ChannelSolve, p: int) -> np.ndarray:
     # integral of Phi_{0,k} x^(p+1) dx = a_{k,0} / sqrt(p+2)
-    return np.array([m.coeffs[0] for m in modes]) / math.sqrt(p + 2.0)
+    return modes.coeffs[:, 0] / math.sqrt(p + 2.0)
 
 
 def chebyshev_rule(channel: ProlateChannel, n: int) -> QuadratureRule1D:

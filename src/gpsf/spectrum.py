@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prolate import NumericalError, ProlateChannel, RadialModeId, ZernikeCoeffs, solve_channel
+from .prolate import ChannelSolve, NumericalError, ProlateChannel, RadialModeId, ZernikeCoeffs, solve_channel
 
 __all__ = [
     "EigenTriple",
@@ -183,7 +183,7 @@ def _rphi_prime(A: np.ndarray, N: int, p: int) -> np.ndarray:
 def beta_chain(
     channel: ProlateChannel,
     kmax: int,
-    modes: list[ZernikeCoeffs] | None = None,
+    modes: ChannelSolve | None = None,
     mu_stop: float = 0.0,
 ) -> list[EigenTriple]:
     """Eigenvalues beta_{N,0..kmax} by the ratio chain.
@@ -194,26 +194,26 @@ def beta_chain(
         beta_{n+1} / beta_n = I(n, n+1) / I(n+1, n),
         I(n, m) = integral of r Phi'_{N,n} Phi_{N,m} r^(p+1) dr,
 
-    with both integrals evaluated as coefficient dot products, taken from
-    row blocks of at most 65536 coefficients so that the work arrays stay
-    small beside the modes.  The chain itself runs on floats and builds an
-    :class:`EigenTriple` per mode only once it has stopped.  It stops
-    early (with a warning) if a denominator integral falls below 1e-250,
-    or once mu drops below ``mu_stop``.  With ``mu_stop`` > 0 and no
-    ``modes``, only the modes the chain uses are solved: the first 17, and
-    twice as many each time the chain uses them all.  ``modes`` of another
-    channel raise ``ValueError``.
+    with both integrals evaluated as dot products of coefficient rows,
+    sliced from ``modes.coeffs`` in blocks of at most 65536 coefficients.
+    The chain runs on floats and builds an :class:`EigenTriple` per mode
+    only once it has stopped.  It stops early (with a warning) if a
+    denominator integral falls below 1e-250, or once mu drops below
+    ``mu_stop``.  ``modes`` is a :class:`ChannelSolve` of this channel
+    whose rows start with modes 0..kmax in order, else ``ValueError``.  When
+    it is not given the chain solves its own: with ``mu_stop`` > 0 only the
+    first 17 modes, and twice as many each time the chain uses them all.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     if modes is None:
         betas, mus = _sized_chain(channel, kmax, mu_stop, _FIRST_BATCH if mu_stop > 0.0 else kmax)
     else:
-        if len(modes) <= kmax:
-            raise ValueError(f"the chain to kmax={kmax} needs {kmax + 1} modes, got {len(modes)}")
-        stray = next((m for m in modes if m.channel is not channel and m.channel != channel), None)
-        if stray is not None:
-            raise ValueError(f"mode {stray.n} of {stray.channel} given for the chain of {channel}")
+        if modes.ns[: kmax + 1].tolist() != list(range(kmax + 1)):
+            raise ValueError(f"the chain to kmax={kmax} needs {kmax + 1} modes, n = 0..{kmax} in order, "
+                             f"got {len(modes)} rows, starting {modes.ns[:3].tolist()}")
+        if modes.channel != channel:
+            raise ValueError(f"mode {modes.ns[0]} of {modes.channel} given for the chain of {channel}")
         betas, mus = _chain(channel, modes[: kmax + 1], mu_stop, 3)
     p, N = channel.p, channel.N
     return [EigenTriple(b, lambda_from_beta(p, N, b), mu, channel.mode_id(n))
@@ -231,14 +231,14 @@ def _sized_chain(channel, kmax: int, mu_stop: float, first: int) -> tuple[list[f
         m = min(2 * m + 1, kmax)
 
 
-def _chain(channel: ProlateChannel, modes: list[ZernikeCoeffs], mu_stop: float,
+def _chain(channel: ProlateChannel, modes: ChannelSolve, mu_stop: float,
            stacklevel: int) -> tuple[list[float], list[float]]:
     # (betas, mus) of the ratio chain over all of ``modes`` (see beta_chain); a truncation
     # warns at the frame ``stacklevel``, the caller of the public function
     cp = channel.c ** (channel.p + 2)
     b = beta_direct(modes[0])
     betas, mus = [b], [min(cp * b * b, _MU_CEIL)]  # mu_from_beta, inlined
-    nums, dens = _integrals(modes, channel.N, channel.p)
+    nums, dens = _integrals(modes.coeffs, channel.N, channel.p)
     for n, (num, den) in enumerate(zip(nums, dens)):
         if abs(den) < _CHAIN_UNDERFLOW:
             warnings.warn(f"ratio chain truncated at n={n + 1} for channel {channel}: "
@@ -252,13 +252,13 @@ def _chain(channel: ProlateChannel, modes: list[ZernikeCoeffs], mu_stop: float,
     return betas, mus
 
 
-def _integrals(modes: list[ZernikeCoeffs], N: int, p: int) -> tuple[list[float], list[float]]:
-    # I(n, n+1) and I(n+1, n) of every n, a block of rows at a time; a block repeats the
-    # last row of the one before it.  Each integral is a stacked 1-by-K product, so one dot product
-    rows = max(1, _CHAIN_BLOCK // len(modes[0].coeffs))
+def _integrals(coeffs: np.ndarray, N: int, p: int) -> tuple[list[float], list[float]]:
+    # I(n, n+1) and I(n+1, n) of every n, a block of coefficient rows at a time; a block repeats
+    # the last row of the one before it.  Each integral is a stacked 1-by-K product, so one dot product
+    rows = max(1, _CHAIN_BLOCK // coeffs.shape[1])
     nums, dens = [], []
-    for i in range(0, len(modes) - 1, rows):
-        A = np.array([m.coeffs for m in modes[i : i + rows + 1]])
+    for i in range(0, len(coeffs) - 1, rows):
+        A = coeffs[i : i + rows + 1]
         X = _rphi_prime(A, N, p)
         nums += (X[:-1, None, :] @ A[1:, :, None])[:, 0, 0].tolist()
         dens += (X[1:, None, :] @ A[:-1, :, None])[:, 0, 0].tolist()

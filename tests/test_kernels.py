@@ -84,10 +84,10 @@ class TestPathAgreement:
             assert np.max(np.abs(scalar - batched)) <= 4e-14 * np.max(np.abs(batched)), case
 
     def test_phase_sum_paths_agree_exactly(self):
-        # chunked phase_sum against one math.fsum over all the products:
-        # both are exactly rounded, so they agree bit for bit, whatever the order
+        # phase_sum against one math.fsum over a list of the products: both are
+        # exactly rounded, so they agree bit for bit, whatever the order
         rng = np.random.default_rng(3)
-        n = 3 * kernels._PHASE_CHUNK + 17
+        n = 3 * 65536 + 17
         w = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-8, 8, n)
         ph = rng.uniform(-100.0, 100.0, n)
         re, im = kernels.phase_sum(w, ph)

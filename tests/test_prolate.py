@@ -441,22 +441,22 @@ class TestSupport:
             assert np.all(np.abs(m.coeffs[m.support:]) <= 1e-20) and abs(m.coeffs[m.support - 1]) > 1e-20
 
     def test_widest_support_from_the_stacked_modes(self, monkeypatch):
-        # a stack of modes is cut at its last column with an entry above 1e-20, and kept
+        # a solve's rows are cut at their last column with an entry above 1e-20, and kept
         # whole when a row has no such entry, as the largest per-mode support would give
         from gpsf import kernels
-        from gpsf.prolate import ZernikeCoeffs
 
         ch = ProlateChannel(0, 3.0, 1)
-        short = ZernikeCoeffs(ch, 0, 0.0, np.array([0.6, -0.8, 1e-20, 0.0, 0.0]))
-        longer = ZernikeCoeffs(ch, 1, 0.0, np.array([0.0, 0.6, 0.0, -0.8, 1e-21]))
-        tiny = ZernikeCoeffs(ch, 2, 0.0, np.full(5, 1e-21))
+        short, longer, tiny = range(3)
+        solve = gpsf.ChannelSolve(ch, np.arange(3), np.zeros(3), np.array(
+            [[0.6, -0.8, 1e-20, 0.0, 0.0], [0.0, 0.6, 0.0, -0.8, 1e-21], np.full(5, 1e-21)]))
         rows = []
         real = kernels.rbar_basis
         monkeypatch.setattr(kernels, "rbar_basis", lambda *a: rows.append(a[2]) or real(*a))
-        for modes in ([short], [short, longer], [short, tiny], [longer, short]):
+        for picked in ([short], [short, longer], [short, tiny], [longer, short]):
+            modes = solve[picked]
             assert gpsf.prolate.tabulate(modes, np.linspace(0.0, 1.0, 7)).shape == (len(modes), 7)
             assert rows.pop() == max(m.support for m in modes)
-        assert [m.support for m in (short, longer, tiny)] == [2, 4, 5]
+        assert [m.support for m in solve] == [2, 4, 5]
 
     @pytest.mark.parametrize("p,c,N,n", [(0, 5.0, 40, 6), (0, 1000.0, 0, 399), (-1, 20.0, 1, 15)])
     def test_trimmed_matches_full_length(self, channels, p, c, N, n):
@@ -482,6 +482,54 @@ class TestSupport:
                 sums = 4e-15 * (np.abs(mode.coeffs) @ np.abs(np.hstack([B1, D1])))
                 assert abs(f - mode.coeffs @ B1[:, 0]) <= max(bound, sums[0])
                 assert abs(df - mode.coeffs @ D1[:, 0]) <= max(dbound, sums[1])
+
+
+class TestChannelSolve:
+    """A solve is one coefficient matrix, read by row, by slice and by a list of rows."""
+
+    def test_row_is_its_mode_as_a_view(self, channels):
+        solve = channels(0, 20.0, 3, 8)
+        for i, n in ((0, 0), (5, 5), (-1, len(solve) - 1)):
+            mode = solve[i]
+            assert isinstance(mode, gpsf.ZernikeCoeffs) and mode.channel is solve.channel
+            assert mode.n == n and type(mode.n) is int
+            assert mode.chi == solve.chis[n] and type(mode.chi) is float
+            assert np.shares_memory(mode.coeffs, solve.coeffs)
+            assert mode.coeffs.tobytes() == solve.coeffs[n].tobytes()
+        assert [m.n for m in solve] == list(range(len(solve))) == solve.ns.tolist()
+
+    @pytest.mark.parametrize("rows", [slice(2, 7), slice(None, None, 3), [6, 1, 4]])
+    def test_rows_give_the_solve_of_those_rows(self, channels, rows):
+        solve = channels(0, 20.0, 3, 8)
+        picked = np.arange(len(solve))[rows]
+        part = solve[rows]
+        assert isinstance(part, gpsf.ChannelSolve) and part.channel is solve.channel
+        assert len(part) == len(picked) and part.ns.tolist() == picked.tolist()
+        assert part.chis.tolist() == solve.chis[picked].tolist()
+        assert part.coeffs.tobytes() == solve.coeffs[picked].tobytes()
+        assert [(m.n, m.chi) for m in part] == [(solve[n].n, solve[n].chi) for n in picked.tolist()]
+
+    @pytest.mark.parametrize("rows", [slice(0, 5), [40, 3, 17], slice(10, 41, 6)])
+    def test_row_subset_tabulates_at_its_own_support(self, channels, monkeypatch, rows):
+        # the rows' widest support sizes the build, and the table has the bits of the rows
+        # stacked into a new array, cut to that support and multiplied by the basis
+        from gpsf import kernels
+
+        solve = channels(0, 100.0, 0, 40)
+        part = solve[rows]
+        K = max(m.support for m in part)
+        A = np.ascontiguousarray(np.array([m.coeffs for m in part])[:, :K])
+        r = np.linspace(0.0, 1.0, 9)
+        B, D = kernels.rbar_basis_with_deriv(0.0, 0, K, r)
+        builds = []
+        for name in ("rbar_basis", "rbar_basis_with_deriv"):
+            real = getattr(kernels, name)
+            monkeypatch.setattr(kernels, name, lambda *a, _f=real: builds.append(a[2]) or _f(*a))
+        f = gpsf.prolate.tabulate(part, r)
+        g, dg = gpsf.prolate.tabulate(part, r, deriv=True)
+        assert builds == [K, K] and part.support == K
+        assert f.tobytes() == g.tobytes() == (A @ B).tobytes() and dg.tobytes() == (A @ D).tobytes()
+        assert solve[:5].support < solve.support
 
 
 class TestChannelBatch:
@@ -530,18 +578,19 @@ class TestChannelBatch:
         assert all(entries <= limit or n == 1 for entries, n in builds)
         assert [t.tobytes() for t in blocked] == [t.tobytes() for t in whole]
 
-    @pytest.mark.parametrize("lists", [[], [[]], "mixed"])
+    # no channels, one solve of no rows, and a solve followed by one of no rows
+    @pytest.mark.parametrize("lists", [[], [0], "mixed"])
     def test_empty_requests_refused(self, channels, lists):
         from gpsf import prolate
 
-        if lists == "mixed":
-            lists = [channels(0, 20.0, 0, 3), []]
+        solve = channels(0, 20.0, 0, 3)
+        lists = [solve, solve[:0]] if lists == "mixed" else [solve[:rows] for rows in lists]
         with pytest.raises(ValueError, match="no (channels|modes) to tabulate"):
             list(prolate.tabulate_channels(lists, self.RADII))
 
-    def test_empty_mode_list_refused_by_tabulate(self):
+    def test_empty_mode_list_refused_by_tabulate(self, channels):
         with pytest.raises(ValueError, match="no modes to tabulate"):
-            gpsf.prolate.tabulate([], self.RADII)
+            gpsf.prolate.tabulate(channels(0, 20.0, 0, 3)[:0], self.RADII)
 
 
 class TestNonFiniteBandLimit:

@@ -377,6 +377,20 @@ class TestChainWork:
         once = sorted(set(solved)) == solved
         assert once == (c < 20.0)
 
+    def test_one_mode_object_per_solve(self, monkeypatch):
+        # the chains read each solve's coefficient matrix: the only ZernikeCoeffs the spectral
+        # sum builds is row 0 of each solve, for its beta_direct
+        from gpsf import prolate, spectrum
+
+        solved, built = [], []
+        real_solve, real_init = spectrum.solve_channel, prolate.ZernikeCoeffs.__init__
+        monkeypatch.setattr(spectrum, "solve_channel",
+                            lambda ch, nmax: solved.append(ch.N) or real_solve(ch, nmax))
+        monkeypatch.setattr(prolate.ZernikeCoeffs, "__init__",
+                            lambda self, *a: built.append((a[0].N, a[1])) or real_init(self, *a))
+        gpsf.mu_sum_check(0, 50.0, 90, 90)
+        assert len(solved) > 1 and built == [(N, 0) for N in solved]
+
     def test_truncation_warns_at_the_callers_line(self, channels, monkeypatch):
         # a denominator integral below 1e-250 stops the chain with a warning that names the
         # line calling beta_chain or mu_sum_check, on each of their paths
@@ -548,6 +562,15 @@ class TestRightSizedSum:
         with pytest.raises(ValueError, match="needs 6 modes"):
             gpsf.beta_chain(ProlateChannel(0, 20.0, 0), 5, modes=channels(0, 20.0, 0, 3)[:4])
 
+    @pytest.mark.parametrize("rows", [slice(1, None), [0, 2, 1, 3, 4, 5], slice(None, None, 2)])
+    def test_rows_other_than_the_first_modes_rejected(self, channels, monkeypatch, rows):
+        # beta_direct of the first row, and each ratio of the next, hold for modes 0, 1, 2, ...
+        from gpsf import spectrum
+
+        monkeypatch.setattr(spectrum, "_chain", lambda *a: pytest.fail("the chain ran"))
+        with pytest.raises(ValueError, match=r"needs 4 modes, n = 0\.\.3 in order"):
+            gpsf.beta_chain(ProlateChannel(0, 20.0, 0), 3, modes=channels(0, 20.0, 0, 9)[rows])
+
     @pytest.mark.parametrize("given, channel", [((0, 30.0, 0), (0, 20.0, 0)),
                                                 ((1, 30.0, 2), (0, 30.0, 0))])
     def test_modes_of_another_channel_rejected(self, channels, monkeypatch, given, channel):
@@ -565,8 +588,9 @@ class TestRightSizedSum:
 class TestBetaDc:
     def test_finite_difference(self):
         c, dc = 20.0, 20.0 * 1e-4
-        mode = gpsf.solve_channel(ProlateChannel(0, c, 0), 0)[0]
-        triple = gpsf.beta_chain(ProlateChannel(0, c, 0), 0, modes=[mode])[0]
+        solve = gpsf.solve_channel(ProlateChannel(0, c, 0), 0)
+        mode = solve[0]
+        triple = gpsf.beta_chain(ProlateChannel(0, c, 0), 0, modes=solve)[0]
         dbeta, dmu = gpsf.beta_dc(mode, triple)
         lo = gpsf.beta_chain(ProlateChannel(0, c - dc, 0), 0)[0]
         hi = gpsf.beta_chain(ProlateChannel(0, c + dc, 0), 0)[0]
